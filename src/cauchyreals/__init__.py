@@ -1,9 +1,9 @@
 """Exact real arithmetic with verifiable error budgets.
 
 A real number here is a procedure: ask it for precision k and it returns a
-rational within 1/k of the value.  Arithmetic, order certificates, oracle-
-driven least upper bounds (square roots), uniformly continuous extension and
-grid extrema are built on that single guarantee, and every operation
+rational within 1/k of the value.  Arithmetic, integer square roots, order
+certificates, oracle-driven least upper bounds, uniformly continuous extension
+and grid extrema are built on that single guarantee, and every operation
 documents the precision it requests to keep its own budget.
 
 Quick tour::

@@ -63,7 +63,7 @@ def build_parser():
     p_sqrt.add_argument("--digits", type=_nonneg_int, default=10)
     p_sqrt.add_argument("--mode", choices=("paper", "fast"), default="fast",
                         help="paper = slow harmonic-step reference loop, "
-                             "fast = bisection (default)")
+                             "fast = integer square root (default)")
     _budget_flags(p_sqrt)
 
     p_demo = sub.add_parser("lub-demo",
@@ -80,19 +80,19 @@ def build_parser():
 
 def _budget_flags(sub):
     sub.add_argument("--sep-budget", type=_positive_int, default=2 ** 20,
-                     help="denominator separation budget (default 2^20)")
+                     help="separation budget for denominators and sqrt "
+                          "radicands (default 2^20)")
     sub.add_argument("--lub-steps", type=_positive_int, default=DEFAULT_STEP_LIMIT,
-                     help="step cap for the harmonic loop (default 2^24)")
+                     help="step cap for the harmonic loop of sqrt --mode paper "
+                          "and lub-demo --mode paper (default 2^24)")
     sub.add_argument("--descent-budget", type=_positive_int,
                      default=DEFAULT_DESCENT_BUDGET,
-                     help="query cap for the bisection bracket search "
-                          "(default 2^20)")
+                     help="query cap for the bisection bracket search of "
+                          "lub-demo --mode fast (default 2^20)")
 
 
 def _config(args):
-    return EvalConfig(sep_budget=args.sep_budget,
-                      lub_steps=args.lub_steps,
-                      descent_budget=args.descent_budget)
+    return EvalConfig(sep_budget=args.sep_budget)
 
 
 def _cmd_eval(args):

@@ -1,5 +1,8 @@
 """Arithmetic expressions over exact rationals with sqrt, abs, min, max.
 
+Every square root is computed by `math.isqrt` on a scaled approximation of
+its radicand (`sqrt_real`); the oracle-driven `lub` engines are not used here.
+
 Grammar (whitespace between tokens is ignored, operators are
 left-associative):
 
@@ -10,10 +13,11 @@ left-associative):
     NUMBER  := digits | digits '/' digits | digits '.' digits
     FUNC    := 'sqrt' | 'abs' | 'min' | 'max'
 
-A '/' directly between digits forms a single rational literal ("1/2"); with
-whitespace around it ("1 / 2") it is the division operator.  The two parse
-differently but denote the same value.  Decimal literals are exact powers of
-ten ("2.71828" is 271828/100000), never binary floats.
+Digits are ASCII 0-9 only.  A '/' directly between digits forms a single
+rational literal ("1/2"); with whitespace around it ("1 / 2") it is the
+division operator.  The two parse differently but denote the same value.
+Decimal literals are exact powers of ten ("2.71828" is 271828/100000), never
+binary floats.
 
 Syntax errors carry the byte offset of the offending position and the set of
 tokens that would have been acceptable there.
@@ -26,11 +30,9 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import NegativeRadicand, ParseError
-from .extension import RationalDomain, UCFunction, close_to_witness, extend
-from .lub import (DEFAULT_DESCENT_BUDGET, DEFAULT_STEP_LIMIT, lub_bisection,
-                  sqrt_oracle)
 from .rational import Rational
-from .real import Real, Verdict, ZERO, divide, from_rational, maximum, minimum, separate
+from .real import (NOT_SEPARATED, Real, Verdict, ZERO, divide, find_apartness,
+                   from_rational, maximum, minimum, separate)
 
 __all__ = [
     "Expr",
@@ -118,6 +120,9 @@ class _Token:
     offset: int
 
 
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(src):
     tokens = []
     i = 0
@@ -128,16 +133,12 @@ def _tokenize(src):
             i += 1
             continue
         start = i
-        if c.isdigit():
-            while i < n and src[i].isdigit():
+        if c in _DIGITS:
+            while i < n and src[i] in _DIGITS:
                 i += 1
-            if i + 1 < n and src[i] == "." and src[i + 1].isdigit():
+            if i + 1 < n and src[i] in "./" and src[i + 1] in _DIGITS:
                 i += 1
-                while i < n and src[i].isdigit():
-                    i += 1
-            elif i + 1 < n and src[i] == "/" and src[i + 1].isdigit():
-                i += 1
-                while i < n and src[i].isdigit():
+                while i < n and src[i] in _DIGITS:
                     i += 1
             tokens.append(_Token("number", src[start:i], start))
         elif c.isalpha():
@@ -265,52 +266,73 @@ def parse(src: str) -> Expr:
 class EvalConfig:
     """Budgets for the operations that search rather than compute.
 
-    sep_budget bounds the denominator separation in Div (and the sign
-    certification of Sqrt radicands); descent_budget and lub_steps bound the
-    least-upper-bound machinery behind Sqrt.
+    sep_budget bounds the separation from zero of Div denominators and of
+    Sqrt radicands.
     """
 
     sep_budget: int = 2 ** 20
-    lub_steps: int = DEFAULT_STEP_LIMIT
-    descent_budget: int = DEFAULT_DESCENT_BUDGET
 
 
 DEFAULT_CONFIG = EvalConfig()
 
 
-def _sqrt_of_rational(c: Rational, cfg: EvalConfig) -> Real:
-    if c < 0:
-        raise NegativeRadicand(f"radicand {c} is negative")
-    root_num = math.isqrt(c.numerator)
-    root_den = math.isqrt(c.denominator)
-    if root_num * root_num == c.numerator and root_den * root_den == c.denominator:
-        return from_rational(Rational(root_num, root_den))
-    upper = max(1, math.ceil(c))
-    return lub_bisection(sqrt_oracle(c), upper, cfg.descent_budget)
+def _root_midpoint(a: Rational, k: int) -> Rational:
+    """Rational within 1/(4k) of sqrt(a), for a >= 0.
+
+    With 2^n >= 2k and m = isqrt(floor(a*4^n)), the root lies in the dyadic
+    bracket [m/2^n, (m+1)/2^n]; its midpoint is within 2^-(n+1) <= 1/(4k).
+    """
+    n = k.bit_length() + 1
+    m = math.isqrt((a.numerator << 2 * n) // a.denominator)
+    return Rational(2 * m + 1, 1 << (n + 1))
 
 
 def sqrt_real(x: Real, cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
-    """Square root of a nonnegative real.
+    """Square root of a nonnegative real, by integer square roots.
 
-    An exactly-rational radicand goes through the decidable square oracle
-    (perfect squares short-circuit to their exact roots).  Otherwise the
-    radicand's sign is certified at precision cfg.sep_budget, and the root is
-    the uniformly continuous extension of the rational square root along the
-    radicand's approximations, with modulus k^2 (square roots of arguments
-    within 1/k^2 differ by at most 1/k).
+    approx(k) reads the radicand at a precision p, clamps the reading a at
+    zero and returns `_root_midpoint(a, k)`, within 1/(4k) of sqrt(a).  p is
+    chosen so that |sqrt(a) - sqrt(x)| <= 1/(2k):
+
+    * an exactly-rational radicand is read exactly (perfect squares
+      short-circuit to their exact roots);
+    * a radicand with an apartness witness x >= 1/k0 is read at
+      p = 2k*(isqrt(k0) + 1), since there |sqrt(a) - sqrt(x)| <= |a - x|*sqrt(k0);
+    * a radicand within 3/cfg.sep_budget of zero, where no witness exists,
+      is read at p = 4k^2, since |sqrt(a) - sqrt(x)| <= sqrt(|a - x|).
+
+    A radicand certified negative raises NegativeRadicand: at construction
+    when `separate` at cfg.sep_budget or the witness's sign says so, during
+    approx(k) when a reading falls below -1/p.
     """
     exact = x.exact_value()
     if exact is not None:
-        return _sqrt_of_rational(exact, cfg)
+        if exact < 0:
+            raise NegativeRadicand(f"radicand {exact} is negative")
+        root_num = math.isqrt(exact.numerator)
+        root_den = math.isqrt(exact.denominator)
+        if root_num ** 2 == exact.numerator and root_den ** 2 == exact.denominator:
+            return from_rational(Rational(root_num, root_den))
+        return Real(lambda k: _root_midpoint(exact, k))
     if separate(x, ZERO, cfg.sep_budget) is Verdict.LESS:
         raise NegativeRadicand(
             f"radicand certified negative at precision {cfg.sep_budget}")
-    domain = RationalDomain(Rational(0), Rational(x.bound()))
-    f = UCFunction(domain,
-                   fn=lambda q: _sqrt_of_rational(q, cfg),
-                   modulus=lambda k: k * k)
-    witness = close_to_witness(domain, x)
-    return extend(f, witness)
+    witness = find_apartness(x, cfg.sep_budget)
+    scale = None
+    if witness is not NOT_SEPARATED:
+        if x.approx(2 * witness.k0) < 0:
+            raise NegativeRadicand(
+                f"radicand certified at most -1/{witness.k0}")
+        scale = 2 * (math.isqrt(witness.k0) + 1)
+
+    def compute(k):
+        p = 4 * k * k if scale is None else scale * k
+        a = x.approx(p)
+        if a < Rational(-1, p):
+            raise NegativeRadicand(f"radicand certified negative at precision {p}")
+        return _root_midpoint(a, k) if a > 0 else Rational(0)
+
+    return Real(compute)
 
 
 def evaluate(expr: "Expr | str", cfg: EvalConfig = DEFAULT_CONFIG) -> Real:

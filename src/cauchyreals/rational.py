@@ -99,6 +99,26 @@ def _round_half_away(x):
     return sign * q
 
 
+# CPython refuses int->str conversions of more than 4300 digits by default;
+# longer integers are rendered in pieces of at most this many digits.
+_STR_CHUNK = 4000
+
+
+def _digits(n, width=1):
+    """Decimal digits of the integer n >= 0, zero-padded to `width`.
+
+    Splits n by a power of ten (divide and conquer) until each piece fits
+    in one int->str conversion.  The digit count is over-estimated from the
+    bit length, using log10(2) < 0.30103.
+    """
+    size = max(width, n.bit_length() * 30103 // 100000 + 1)
+    if size <= _STR_CHUNK:
+        return f"{n:0{width}d}"
+    low = size // 2
+    high, rest = divmod(n, 10 ** low)
+    return _digits(high, max(width - low, 1)) + _digits(rest, low)
+
+
 def to_decimal(a, digits):
     """Render `a` with exactly `digits` fractional digits.
 
@@ -112,6 +132,6 @@ def to_decimal(a, digits):
     sign = "-" if units < 0 else ""
     units = abs(units)
     if digits == 0:
-        return f"{sign}{units}"
+        return f"{sign}{_digits(units)}"
     whole, frac = divmod(units, 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{_digits(whole)}.{_digits(frac, digits)}"

@@ -54,3 +54,16 @@ def geometric_to_two():
         return (k - 1).bit_length() + 1
 
     return from_sequence(seq, modulus)
+
+
+def digits_to_int(text):
+    """Integer from a string of decimal digits of any length.
+
+    Reads the digits in pieces, so it works past CPython's int<-str limit
+    without changing it.
+    """
+    value = 0
+    for i in range(0, len(text), 1000):
+        piece = text[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return value

@@ -232,3 +232,13 @@ def test_criterion_10_sqrt2_times_sqrt2_prints_two(capsys):
         assert code == 0
         printed = out.strip()
         assert abs(int(printed.replace(".", "")) - 2 * 10 ** 9) <= 1
+
+
+def test_criterion_11_sqrt2_three_thousand_digits(capsys):
+    with criterion(11, "sqrt 2 --digits 3000", limit_seconds=2):
+        code, out, _ = cli(capsys, "sqrt", "2", "--digits", "3000")
+        assert code == 0
+        printed = out.strip()
+        assert printed.startswith("1.") and len(printed) == 3002
+        oracle = math.isqrt(2 * 10 ** 6000)  # floor(sqrt2 * 10^3000), independent
+        assert abs(int(printed.replace(".", "")) - oracle) <= 1

@@ -7,6 +7,8 @@ import pytest
 
 from cauchyreals.cli import main
 
+from support import digits_to_int
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -41,6 +43,32 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "sqrt(0-4)")
         assert code == 3
         assert "negative" in err
+
+    def test_unicode_digit_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "eval", "\u00b9")
+        assert (code, out) == (2, "")
+        assert "offset 0" in err
+
+    def test_digits_past_int_to_str_limit(self, capsys):
+        code, out, _ = run(capsys, "eval", "1/3", "--digits", "5000")
+        assert (code, out.strip()) == (0, "0." + "3" * 5000)
+        code, out, _ = run(capsys, "eval", "0-2/3", "--digits", "4500")
+        assert (code, out.strip()) == (0, "-0." + "6" * 4499 + "7")
+
+    def test_radicand_just_below_zero_exit_code(self, capsys):
+        # -1/128 = -1/(2K) at K = 64: not certified by separate(), but a
+        # reading below -1/p at the printing precision proves it negative
+        code, out, err = run(capsys, "eval", "sqrt(sqrt(2) - sqrt(2) - 1/128)",
+                             "--sep-budget", "64")
+        assert (code, out) == (3, "")
+        assert "negative" in err
+
+    def test_search_flags_are_accepted_and_do_not_reach_eval(self, capsys):
+        code, out, _ = run(capsys, "eval", "sqrt(sqrt(2))", "--digits", "30",
+                           "--lub-steps", "1", "--descent-budget", "1")
+        assert code == 0
+        oracle = math.isqrt(math.isqrt(2 * 10 ** 120))
+        assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
 
     def test_sep_budget_flag(self, capsys):
         code, _, err = run(capsys, "eval", "1 / 0.0001", "--sep-budget", "64")
@@ -78,6 +106,22 @@ class TestSqrtCommand:
         value = Fraction(out.strip())
         assert abs(value - Fraction(math.isqrt(2 * 10 ** 12), 10 ** 6)) \
             <= Fraction(1, 100) + Fraction(1, 10 ** 6)
+
+    def test_fast_mode_five_thousand_digits(self, capsys):
+        code, out, _ = run(capsys, "sqrt", "2", "--digits", "5000")
+        assert code == 0
+        whole, frac = out.strip().split(".")
+        assert (whole, len(frac)) == ("1", 5000)
+        oracle = math.isqrt(2 * 10 ** 10000)
+        assert abs(digits_to_int(whole + frac) - oracle) <= 1
+
+    def test_fast_mode_rational_radicands(self, capsys):
+        for text, c in (("22/7", Fraction(22, 7)), ("0.0002", Fraction(2, 10 ** 4)),
+                        ("123456789", Fraction(123456789))):
+            code, out, _ = run(capsys, "sqrt", text, "--digits", "200")
+            assert code == 0
+            oracle = math.isqrt(c.numerator * 10 ** 400 // c.denominator)
+            assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
 
     def test_rational_argument_forms(self, capsys):
         code, out, _ = run(capsys, "sqrt", "9/4", "--digits", "3")

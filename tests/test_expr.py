@@ -1,6 +1,8 @@
 """Parser and evaluator: grammar, positioned errors, budget semantics."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,9 +29,9 @@ from cauchyreals import (
     sqrt_real,
     to_decimal,
 )
-from cauchyreals import from_rational, lub_bisection, sqrt_oracle
+from cauchyreals import Real, find_apartness, from_rational, lub_bisection, sqrt_oracle
 
-from support import assert_within, drifting
+from support import assert_regular, assert_within, drifting
 
 
 def lit(n, d=1):
@@ -126,6 +128,12 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("1/0")
 
+    @pytest.mark.parametrize("src", ["\u00b9", "1\u00b2", "\u0661", "2/\u0663", "1.\u0665"])
+    def test_digits_are_ascii(self, src):
+        # superscripts and other scripts' digits are not number tokens
+        with pytest.raises(ParseError):
+            parse(src)
+
     @settings(max_examples=300, deadline=None)
     @given(st.text(max_size=40))
     def test_parser_is_total(self, src):
@@ -217,3 +225,119 @@ class TestPrintedAccuracy:
         a = evaluate("sqrt(7)").decimal(15)
         b = lub_bisection(sqrt_oracle(7), 3).decimal(15)
         assert abs(int(a.replace(".", "")) - int(b.replace(".", ""))) <= 1
+
+
+# Independent oracles for square-root digits: floor(sqrt(c) * 10^d) is
+# isqrt(floor(c * 10^(2d))), because isqrt(floor(y)) = floor(sqrt(y)).
+
+def root_digits(c, digits):
+    c = Fraction(c)
+    return math.isqrt(c.numerator * 10 ** (2 * digits) // c.denominator)
+
+
+def printed_units(text):
+    return int(text.replace(".", ""))
+
+
+integer_radicands = st.integers(0, 10 ** 12).map(lambda n: (str(n), Fraction(n)))
+ratio_radicands = st.tuples(st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)).map(
+    lambda t: (f"{t[0]}/{t[1]}", Fraction(*t)))
+decimal_radicands = st.tuples(st.integers(0, 10 ** 6), st.integers(1, 8)).flatmap(
+    lambda t: st.integers(0, 10 ** t[1] - 1).map(
+        lambda frac: (f"{t[0]}.{frac:0{t[1]}d}",
+                      t[0] + Fraction(frac, 10 ** t[1]))))
+
+
+class TestIntegerSquareRoot:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(integer_radicands, ratio_radicands, decimal_radicands))
+    def test_rational_radicand_digits(self, radicand):
+        text, c = radicand
+        x = evaluate(f"sqrt({text})")
+        for digits in (10, 1000):
+            assert abs(printed_units(x.decimal(digits)) - root_digits(c, digits)) <= 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 10 ** 6))
+    def test_fourth_root_digits(self, n):
+        # isqrt(isqrt(N)) = floor(N^(1/4)), so the oracle is exact
+        digits = 1000
+        oracle = math.isqrt(math.isqrt(n * 10 ** (4 * digits)))
+        printed = evaluate(f"sqrt(sqrt({n}))").decimal(digits)
+        assert abs(printed_units(printed) - oracle) <= 1
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 1000), st.integers(2, 10 ** 6))
+    def test_nested_radical_digits(self, a, b):
+        # s = floor(sqrt(b) * 10^(2d)) brackets sqrt(a + sqrt(b)) * 10^d
+        # between isqrt(a*10^(2d) + s) and isqrt(a*10^(2d) + s + 1)
+        digits = 1000
+        s = math.isqrt(b * 10 ** (4 * digits))
+        lo = math.isqrt(a * 10 ** (2 * digits) + s)
+        hi = math.isqrt(a * 10 ** (2 * digits) + s + 1)
+        printed = printed_units(evaluate(f"sqrt({a} + sqrt({b}))").decimal(digits))
+        assert lo - 1 <= printed <= hi + 1
+
+    @pytest.mark.parametrize("radicand", [
+        evaluate("1 + sqrt(2)"),
+        evaluate("sqrt(2) - sqrt(2)"),  # within 3/budget of zero: no witness
+        drifting(Fraction(3, 7)),
+        drifting(Fraction(1, 10 ** 9)),
+    ], ids=["witnessed", "vanishing", "drifting", "drifting-near-zero"])
+    def test_real_radicand_root_is_regular(self, radicand):
+        assert_regular(sqrt_real(radicand))
+
+    def test_witnessed_radicand_precision_request(self):
+        # The radicand records every precision it is asked for; its values
+        # 1/50 + (-1)^k/(2k) are within 1/k of 1/50.
+        asked = []
+
+        def compute(k):
+            asked.append(k)
+            return Fraction(1, 50) + Fraction((-1) ** k, 2 * k)
+
+        x = Real(compute)
+        k0 = find_apartness(x).k0
+        root = sqrt_real(x)
+        # sqrt(1/50) lies in [lo, lo + 10^-40)
+        lo = Fraction(root_digits(Fraction(1, 50), 40), 10 ** 40)
+        for k in (10, 1000, 10 ** 6, 10 ** 12):
+            asked.clear()
+            value = root.approx(k)
+            assert asked and max(asked) <= 2 * k * (math.isqrt(k0) + 1) < 4 * k * k
+            assert lo - Fraction(1, k) <= value <= lo + Fraction(1, 10 ** 40) + Fraction(1, k)
+
+    @pytest.mark.parametrize("value", [Fraction(-1, 128), Fraction(-5, 512),
+                                       Fraction(-47, 4096)])
+    def test_radicand_just_below_zero_is_rejected(self, value):
+        # budget K = 64: value lies in (-3/(4K), -1/(2K)], where separate()
+        # alone may answer CLOSE
+        cfg = EvalConfig(sep_budget=64)
+        for x in (drifting(value), evaluate("sqrt(2) - sqrt(2)") + value):
+            with pytest.raises(NegativeRadicand):
+                sqrt_real(x, cfg).approx(10 ** 4)
+
+    def test_shared_root_across_threads(self):
+        root = evaluate("sqrt(1 + sqrt(2)) + sqrt(3)")
+        ladder = [10 ** e for e in range(1, 60, 3)]
+        results = [None] * 8
+        barrier = threading.Barrier(len(results))
+
+        def work(i):
+            barrier.wait(timeout=60)
+            results[i] = [root.approx(k) for k in ladder]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fresh = evaluate("sqrt(1 + sqrt(2)) + sqrt(3)")
+        assert all(r == results[0] for r in results)
+        assert results[0] == [fresh.approx(k) for k in ladder]

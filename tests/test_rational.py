@@ -157,6 +157,17 @@ class TestToDecimal:
         with pytest.raises(ValueError):
             to_decimal(Fraction(1), -1)
 
+    @pytest.mark.parametrize("digits", [3999, 4000, 4001, 4300, 4301, 9000])
+    def test_past_the_int_to_str_limit(self, digits):
+        for q in (Fraction(1, 7), Fraction(-22, 7), Fraction(2, 3)):
+            assert to_decimal(q, digits) == long_division(
+                q.numerator, q.denominator, digits)
+
+    def test_whole_part_past_the_int_to_str_limit(self):
+        # (10^5000 + 1)/3 = 33...3 (5000 threes) + 2/3
+        assert to_decimal(Fraction(10 ** 5000 + 1, 3), 2) == "3" * 5000 + ".67"
+        assert to_decimal(Fraction(-(10 ** 5000) - 1, 3), 0) == "-" + "3" * 4999 + "4"
+
 
 class TestParseRational:
     @pytest.mark.parametrize("text,value", [
