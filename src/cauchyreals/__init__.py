@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     WitnessInvalid,
 )
-from .rational import Rational, arith, compare, make, parse_rational, to_decimal
+from .rational import Rational, parse_rational, to_decimal
 from .real import (
     INDISTINGUISHABLE,
     NOT_SEPARATED,
@@ -98,7 +98,7 @@ __all__ = [
     "Error", "DomainError", "WitnessInvalid", "BudgetExceeded", "OutOfDomain",
     "DivisionNotSeparated", "NegativeRadicand", "ParseError",
     # rationals
-    "Rational", "make", "arith", "compare", "parse_rational", "to_decimal",
+    "Rational", "parse_rational", "to_decimal",
     # reals
     "Real", "Verdict", "GapCertificate", "GreaterGap", "ApartnessWitness",
     "NOT_SEPARATED", "INDISTINGUISHABLE", "ZERO", "ONE",

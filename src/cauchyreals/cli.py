@@ -6,6 +6,10 @@ stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 evaluation error (failed separation,
 negative radicand, invalid operand), 4 budget exhausted.
+
+Precision requests are capped: --digits at MAX_DIGITS and --k at MAX_K.  A
+request beyond a cap raises BudgetExceeded (exit 4) instead of running for
+as long as the digits take.
 """
 
 import argparse
@@ -21,6 +25,14 @@ from .rational import parse_rational, to_decimal
 from .real import Verdict, from_rational, separate
 
 __all__ = ["main", "console", "build_parser"]
+
+# Caps on the precision a command line may ask for.  Evaluation cost grows
+# faster than linearly in the digits asked for (lub-demo --mode fast takes
+# over a minute at MAX_DIGITS).  MAX_K asks compare for 4000 digits and stays
+# below CPython's 4300-digit int() limit, so the cap, not the flag parser,
+# refuses a larger --k.
+MAX_DIGITS = 10_000
+MAX_K = 10 ** 4000
 
 
 def _positive_int(text):
@@ -48,14 +60,16 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate an expression to decimals")
     p_eval.add_argument("expr", help='expression, e.g. "sqrt(2) * sqrt(2)"')
     p_eval.add_argument("--digits", type=_nonneg_int, default=10,
-                        help="fractional digits to print (default 10)")
+                        help="fractional digits to print (default 10, "
+                             f"at most {MAX_DIGITS})")
     _budget_flags(p_eval)
 
     p_cmp = sub.add_parser("compare", help="order two expressions at tolerance 1/K")
     p_cmp.add_argument("expr1")
     p_cmp.add_argument("expr2")
     p_cmp.add_argument("--k", type=_positive_int, default=10 ** 6,
-                       help="comparison precision index (default 10^6)")
+                       help="comparison precision index (default 10^6, "
+                            "at most 10^4000)")
     _budget_flags(p_cmp)
 
     p_sqrt = sub.add_parser("sqrt", help="square root of a rational")
@@ -150,7 +164,8 @@ def _cmd_lub_demo(args):
     x = lub_bisection(UpperBoundOracle(counting, oracle.description), 2,
                       args.descent_budget)
     print(x.decimal(args.digits))
-    print(f"queries={queries} bracket-width<=1/{precision}", file=sys.stderr)
+    print(f"queries={queries} bracket-width<=1/{to_decimal(precision, 0)}",
+          file=sys.stderr)
     return 0
 
 
@@ -162,11 +177,21 @@ _COMMANDS = {
 }
 
 
+def _check_caps(args):
+    digits = getattr(args, "digits", 0)
+    if digits > MAX_DIGITS:
+        raise BudgetExceeded(
+            f"--digits {digits} exceeds the cap of {MAX_DIGITS}")
+    if getattr(args, "k", 1) > MAX_K:
+        raise BudgetExceeded("--k exceeds the cap of 10^4000")
+
+
 def main(argv=None):
     """Run one command; returns the exit code instead of raising SystemExit."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_caps(args)
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

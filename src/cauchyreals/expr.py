@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .errors import NegativeRadicand, ParseError
-from .rational import Rational
+from .rational import Rational, int_from_digits
 from .real import (NOT_SEPARATED, Real, Verdict, ZERO, divide, find_apartness,
                    from_rational, maximum, minimum, separate)
 
@@ -158,14 +158,15 @@ def _literal_value(token):
     text = token.text
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        den = int_from_digits(den)
+        if den == 0:
             raise ParseError("zero denominator in rational literal",
                              offset=token.offset)
-        return Rational(int(num), int(den))
+        return Rational(int_from_digits(num), den)
     if "." in text:
         whole, frac = text.split(".")
-        return Rational(int(whole + frac), 10 ** len(frac))
-    return Rational(int(text))
+        return Rational(int_from_digits(whole + frac), 10 ** len(frac))
+    return Rational(int_from_digits(text))
 
 
 # -- parser -------------------------------------------------------------------

@@ -8,14 +8,20 @@ values within 1/k.  Everything here is modulus composition:
   modulus says how close the point must be for the value to be within budget.
 * `infimum` / `supremum` scan a grid fine enough (mesh 1/modulus(3k)) that no
   value between grid points can escape by more than 1/(3k).
+* `eps_minimizer` / `eps_maximizer` return the argmin / argmax of the scan
+  at 3k.
 
-Grid scans are linear in the grid size, which grows with both the interval
-length and the requested precision; a configurable point cap (default 10^6)
-turns runaway requests into BudgetExceeded.  Desk-scale precision only.
+There is one scan per (f, k): it records min, argmin, max and argmax, is
+cached on the UCFunction, and all four functions read it.  Grid scans are
+linear in the grid size, which grows with both the interval length and the
+requested precision; a configurable point cap (default 10^6) turns runaway
+requests into BudgetExceeded, for a cached scan as for a fresh one.
+Desk-scale precision only.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -38,6 +44,12 @@ __all__ = [
 ]
 
 DEFAULT_GRID_LIMIT = 10 ** 6
+
+
+def _check_grid_size(points: int, limit: int):
+    if points > limit:
+        raise BudgetExceeded(
+            f"grid of {points} points exceeds the cap of {limit}")
 
 
 def _check_index(n, what):
@@ -68,23 +80,31 @@ class RationalDomain:
             raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, q) -> bool:
-        q = Rational(q)
+        if type(q) is not Rational:
+            q = Rational(q)
         if not self.lo <= q <= self.hi:
             return False
         return self.membership is None or bool(self.membership(q))
 
+    def _segments(self, mesh: int) -> int:
+        """Number of equal segments of length at most 1/mesh covering [lo, hi]."""
+        span = self.hi - self.lo
+        return -(-(span.numerator * mesh) // span.denominator)  # ceil(span*mesh)
+
     def grid(self, mesh: int, limit: int = DEFAULT_GRID_LIMIT):
         _check_index(mesh, "mesh")
-        span = self.hi - self.lo
-        segments = -(-(span.numerator * mesh) // span.denominator)  # ceil(span*mesh)
-        if segments + 1 > limit:
-            raise BudgetExceeded(
-                f"grid of {segments + 1} points exceeds the cap of {limit}")
+        segments = self._segments(mesh)
+        _check_grid_size(segments + 1, limit)
         if segments == 0:
             points = [self.lo]
         else:
-            step = span / segments
-            points = [self.lo + j * step for j in range(segments + 1)]
+            # lo + j*step, built over one common denominator so that each
+            # point costs one normalisation.
+            step = (self.hi - self.lo) / segments
+            den = math.lcm(self.lo.denominator, step.denominator)
+            base = self.lo.numerator * (den // self.lo.denominator)
+            inc = step.numerator * (den // step.denominator)
+            points = [Rational(base + j * inc, den) for j in range(segments + 1)]
         if self.membership is not None:
             points = [p for p in points if self.membership(p)]
             if not points:
@@ -111,6 +131,7 @@ class UCFunction:
         self._fn = fn
         self._modulus = modulus
         self._memo = {}
+        self._scans = {}  # precision k -> (_Scan, grid point count)
         self._memo_lock = threading.Lock()
 
     def modulus(self, k: int) -> int:
@@ -118,14 +139,17 @@ class UCFunction:
 
     def eval(self, q) -> Real:
         q = Rational(q)
-        if not self.domain.contains(q):
-            raise DomainError(f"{q} is outside the function's domain")
         with self._memo_lock:
             value = self._memo.get(q)
             if value is None:
-                value = as_real(self._fn(q))
-                self._memo[q] = value
+                value = self._memo[q] = self._value_at(q)
             return value
+
+    def _value_at(self, q: Rational) -> Real:
+        """fn at a point not yet memoized; the caller holds the memo lock."""
+        if not self.domain.contains(q):
+            raise DomainError(f"{q} is outside the function's domain")
+        return as_real(self._fn(q))
 
 
 @dataclass(frozen=True)
@@ -196,18 +220,40 @@ def _grid_scan(f: UCFunction, k: int, grid_limit: int) -> _Scan:
     within 1/(3k) by uniform continuity; with 1/(3k) more for the value
     approximation, the scanned min/max are within 2/(3k) of the true
     infimum/supremum.  Ties go to the leftmost point, deterministically.
+
+    The scan is cached on f per k, so infimum, supremum and the eps_*
+    functions share it; a cached scan is still refused when its grid has
+    more points than grid_limit allows.
     """
-    mesh = f.modulus(3 * k)
-    points = f.domain.grid(mesh, grid_limit)
-    min_value = max_value = None
-    argmin = argmax = None
-    for g in points:
-        v = f.eval(g).approx(3 * k)
-        if min_value is None or v < min_value:
-            min_value, argmin = v, g
-        if max_value is None or v > max_value:
-            max_value, argmax = v, g
-    return _Scan(min_value, argmin, max_value, argmax)
+    with f._memo_lock:
+        cached = f._scans.get(k)
+    if cached is None:
+        mesh = f.modulus(3 * k)
+        points = f.domain.grid(mesh, grid_limit)
+        with f._memo_lock:
+            memo = f._memo
+            values = []
+            for g in points:
+                value = memo.get(g)
+                if value is None:
+                    value = memo[g] = f._value_at(g)
+                values.append(value)
+        p = 3 * k
+        argmin = argmax = points[0]
+        min_value = max_value = values[0].approx(p)
+        for g, value in zip(points, values):
+            v = value.approx(p)
+            if v < min_value:
+                min_value, argmin = v, g
+            elif v > max_value:
+                max_value, argmax = v, g
+        cached = (_Scan(min_value, argmin, max_value, argmax),
+                  f.domain._segments(mesh) + 1)
+        with f._memo_lock:
+            cached = f._scans.setdefault(k, cached)
+    scan, size = cached
+    _check_grid_size(size, grid_limit)
+    return scan
 
 
 def infimum(f: UCFunction, grid_limit: int = DEFAULT_GRID_LIMIT) -> Real:

@@ -3,8 +3,8 @@
 A rational is a `fractions.Fraction`, which already maintains the canonical
 form we rely on everywhere: positive denominator and numerator/denominator in
 lowest terms, with zero stored as 0/1.  Equality of values is therefore
-structural equality.  This module adds the constructors, the strict literal
-grammar, and exact decimal rendering; none of it ever touches binary floating
+structural equality.  This module adds the strict literal grammar and exact
+decimal conversion in both directions; none of it ever touches binary floating
 point.
 """
 
@@ -15,57 +15,13 @@ from .errors import DomainError, ParseError
 
 __all__ = [
     "Rational",
-    "make",
-    "arith",
-    "compare",
+    "int_from_digits",
     "parse_rational",
     "to_decimal",
 ]
 
 # `-? digits ('.' digits)?` or `-? digits '/' digits`
 _LITERAL = re.compile(r"\A\s*(-?)(\d+)(?:\.(\d+)|/(\d+))?\s*\Z")
-
-
-def make(num, den=1):
-    """Return the canonical rational num/den.
-
-    Only integers (or existing Rationals) are accepted; floats are rejected
-    because their values are binary approximations, not the decimal the
-    caller wrote.
-    """
-    if isinstance(num, float) or isinstance(den, float):
-        raise DomainError("binary floats are inexact; pass integers or a string literal")
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Rational(num, den)
-
-
-def arith(a, b, op):
-    """Apply one of {add, sub, mul, div} exactly."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise DomainError("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def compare(a, b):
-    """Three-way comparison: -1, 0 or +1.
-
-    Agrees with cross-multiplication of numerators against (positive)
-    denominators, which is how Fraction implements it.
-    """
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def parse_rational(text):
@@ -79,13 +35,14 @@ def parse_rational(text):
                          expected=("rational literal",))
     sign, whole, frac, den = m.groups()
     if den is not None:
-        if int(den) == 0:
+        den = int_from_digits(den)
+        if den == 0:
             raise DomainError(f"zero denominator in {text!r}")
-        value = Rational(int(whole), int(den))
+        value = Rational(int_from_digits(whole), den)
     elif frac is not None:
-        value = Rational(int(whole + frac), 10 ** len(frac))
+        value = Rational(int_from_digits(whole + frac), 10 ** len(frac))
     else:
-        value = Rational(int(whole))
+        value = Rational(int_from_digits(whole))
     return -value if sign else value
 
 
@@ -117,6 +74,18 @@ def _digits(n, width=1):
     low = size // 2
     high, rest = divmod(n, 10 ** low)
     return _digits(high, max(width - low, 1)) + _digits(rest, low)
+
+
+def int_from_digits(text):
+    """Integer value of a string of decimal digits, of any length.
+
+    The inverse of `_digits`: a string too long for one str->int conversion
+    is split in two, and the halves are read separately and recombined.
+    """
+    if len(text) <= _STR_CHUNK:
+        return int(text)
+    low = len(text) // 2
+    return int_from_digits(text[:-low]) * 10 ** low + int_from_digits(text[-low:])
 
 
 def to_decimal(a, digits):

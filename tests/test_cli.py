@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cauchyreals.cli import main
+from cauchyreals.cli import MAX_DIGITS, MAX_K, main
 
 from support import digits_to_int
 
@@ -54,6 +54,14 @@ class TestEvalCommand:
         assert (code, out.strip()) == (0, "0." + "3" * 5000)
         code, out, _ = run(capsys, "eval", "0-2/3", "--digits", "4500")
         assert (code, out.strip()) == (0, "-0." + "6" * 4499 + "7")
+
+    def test_literal_past_the_str_to_int_limit(self, capsys):
+        ones = "1" * 5000
+        code, out, _ = run(capsys, "eval", ones, "--digits", "0")
+        assert (code, digits_to_int(out.strip())) == (0, (10 ** 5000 - 1) // 9)
+        code, out, _ = run(capsys, "eval", f"{ones}/{'3' * 5000} + 0.{ones}",
+                           "--digits", "3")
+        assert (code, out.strip()) == (0, "0.444")
 
     def test_radicand_just_below_zero_exit_code(self, capsys):
         # -1/128 = -1/(2K) at K = 64: not certified by separate(), but a
@@ -162,6 +170,29 @@ class TestLubDemoCommand:
         oracle = math.isqrt(2 * 10 ** 24)
         assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
         assert "queries=" in err
+
+
+class TestPrecisionCaps:
+    @pytest.mark.parametrize("argv", [
+        ("eval", "1/3"), ("sqrt", "2"), ("lub-demo", "sqrt2")])
+    def test_digits_over_the_cap_is_budget_exit(self, capsys, argv):
+        for digits in (MAX_DIGITS + 1, 10 ** 8):
+            code, out, err = run(capsys, *argv, "--digits", str(digits))
+            assert (code, out) == (4, "")
+            assert "--digits" in err
+
+    def test_digits_at_the_cap_run(self, capsys):
+        code, out, _ = run(capsys, "eval", "1/3", "--digits", str(MAX_DIGITS))
+        assert (code, out.strip()) == (0, "0." + "3" * MAX_DIGITS)
+
+    def test_k_over_the_cap_is_budget_exit(self, capsys):
+        code, out, err = run(capsys, "compare", "1/3", "1/2", "--k", str(MAX_K + 1))
+        assert (code, out) == (4, "")
+        assert "--k" in err
+
+    def test_k_at_the_cap_runs(self, capsys):
+        code, out, _ = run(capsys, "compare", "1/3", "1/3", "--k", str(MAX_K))
+        assert (code, out.strip()) == (0, f"CLOSE(1/{MAX_K})")
 
 
 class TestUsage:

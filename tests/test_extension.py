@@ -2,9 +2,14 @@
 
 import math
 import random
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchyreals import (
     BudgetExceeded,
@@ -38,6 +43,21 @@ def unit_interval(lo=0, hi=2):
 def square_fn():
     """x^2 on [0,2]; |u^2 - v^2| <= 4|u - v| there, so modulus 4k works."""
     return UCFunction(unit_interval(), fn=lambda q: q * q, modulus=lambda k: 4 * k)
+
+
+def brute_grid(lo, hi, mesh):
+    """Independent grid oracle: s = ceil((hi - lo)*mesh) equal steps."""
+    s = math.ceil((hi - lo) * mesh)
+    if s == 0:
+        return [lo]
+    return [lo + j * (hi - lo) / s for j in range(s + 1)]
+
+
+def brute_extremes(points, fn):
+    """Leftmost argmin and argmax of exact values over a plain point list."""
+    values = [fn(q) for q in points]
+    low, high = min(values), max(values)
+    return (low, points[values.index(low)], high, points[values.index(high)])
 
 
 def well_fn():
@@ -80,6 +100,15 @@ class TestRationalDomain:
                              membership=lambda q: q.denominator <= 4)
         points = dom.grid(4)
         assert points and all(q.denominator <= 4 for q in points)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(lo=st.fractions(min_value=-50, max_value=50, max_denominator=1000),
+           width=st.fractions(min_value=0, max_value=5, max_denominator=1000),
+           mesh=st.integers(1, 300))
+    def test_grid_matches_brute_force(self, lo, width, mesh):
+        dom = RationalDomain(lo, lo + width)
+        assert dom.grid(mesh) == brute_grid(lo, lo + width, mesh)
 
 
 class TestUCFunction:
@@ -266,3 +295,106 @@ class TestSandwich:
             for k in (1, 5, 10):
                 assert separate(y, lo, k) is not Verdict.LESS
                 assert separate(hi, y, k) is not Verdict.LESS
+
+
+class TestSharedScan:
+    """infimum, supremum and eps_* share one grid scan per (f, k)."""
+
+    def test_one_grid_and_one_call_per_point(self, monkeypatch):
+        meshes, calls = [], Counter()
+        grid = RationalDomain.grid
+
+        def counting_grid(self, mesh, limit):
+            meshes.append(mesh)
+            return grid(self, mesh, limit)
+
+        def fn(q):
+            calls[q] += 1
+            return (q * q - 2) ** 2
+
+        monkeypatch.setattr(RationalDomain, "grid", counting_grid)
+        f = UCFunction(unit_interval(), fn=fn, modulus=lambda k: 32 * k)
+        k = 4
+        for _ in range(2):
+            infimum(f).approx(k)
+            supremum(f).approx(k)
+            eps_minimizer(f, k)
+            eps_maximizer(f, k)
+            infimum(f).approx(3 * k)
+            supremum(f).approx(3 * k)
+        # one grid at modulus(3k) for precision k, one at modulus(9k) for 3k
+        assert meshes == [32 * 3 * k, 32 * 9 * k]
+        fine = brute_grid(Fraction(0), Fraction(2), 32 * 9 * k)
+        assert set(calls) == set(fine)
+        assert max(calls.values()) == 1
+
+    def test_cached_scan_still_honours_a_smaller_grid_limit(self):
+        f = well_fn()
+        k = 2
+        points = len(brute_grid(Fraction(0), Fraction(2), f.modulus(3 * k)))
+        assert infimum(f, grid_limit=points).approx(k) == infimum(f).approx(k)
+        with pytest.raises(BudgetExceeded):
+            infimum(f, grid_limit=points - 1).approx(k)
+        with pytest.raises(BudgetExceeded):
+            supremum(f, grid_limit=points - 1).approx(k)
+        fine = len(brute_grid(Fraction(0), Fraction(2), f.modulus(9 * k)))
+        eps_minimizer(f, k)
+        with pytest.raises(BudgetExceeded):
+            eps_minimizer(f, k, grid_limit=fine - 1)
+        with pytest.raises(BudgetExceeded):
+            eps_maximizer(f, k, grid_limit=fine - 1)
+        assert eps_maximizer(f, k, grid_limit=fine) == 0  # f(0) = f(2), leftmost
+
+    @pytest.mark.parametrize("k", [2, 4, 10])
+    def test_leftmost_extremizers_win_ties(self, k):
+        # flat at 0 on [1/2, 3/2], equal maxima 1/2 at both ends of [0, 2]
+        fn = lambda q: max(Fraction(0), abs(q - 1) - Fraction(1, 2))
+        f = UCFunction(unit_interval(), fn=fn, modulus=lambda j: j)
+        oracle = brute_extremes(
+            brute_grid(Fraction(0), Fraction(2), f.modulus(9 * k)), fn)
+        assert oracle[1] == Fraction(1, 2) and oracle[3] == Fraction(0)
+        assert (infimum(f).approx(3 * k), eps_minimizer(f, k),
+                supremum(f).approx(3 * k), eps_maximizer(f, k)) == oracle
+
+    def test_membership_thinned_domain(self):
+        member = lambda q: (q * 3).denominator == 1
+        fn = lambda q: (q - Fraction(7, 10)) ** 2
+        dom = RationalDomain(Fraction(-1), Fraction(2), membership=member)
+        f = UCFunction(dom, fn=fn, modulus=lambda j: j)
+        k = 1
+        points = [q for q in brute_grid(Fraction(-1), Fraction(2), 9 * k)
+                  if member(q)]
+        low, argmin, high, argmax = brute_extremes(points, fn)
+        assert eps_minimizer(f, k) == argmin == Fraction(2, 3)
+        assert eps_maximizer(f, k) == argmax
+        assert infimum(f).approx(3 * k) == low
+        assert supremum(f).approx(3 * k) == high
+
+    def test_threads_share_one_scan(self):
+        f = well_fn()
+        k = 6
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def work(i):
+            start.wait(timeout=30)
+            results[i] = (infimum(f).approx(k), supremum(f).approx(k),
+                          eps_minimizer(f, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        fn = lambda q: (q * q - 2) ** 2
+        low, _, high, _ = brute_extremes(
+            brute_grid(Fraction(0), Fraction(2), f.modulus(3 * k)), fn)
+        argmin = brute_extremes(
+            brute_grid(Fraction(0), Fraction(2), f.modulus(9 * k)), fn)[1]
+        assert results == [(low, high, argmin)] * 8

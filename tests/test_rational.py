@@ -1,13 +1,15 @@
 """Canonical rationals: construction, exact field/order laws, decimal output."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cauchyreals import DomainError, ParseError, arith, compare, make, parse_rational, to_decimal
+from cauchyreals import DomainError, ParseError, parse_rational, to_decimal
+from cauchyreals.rational import int_from_digits
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -46,45 +48,34 @@ def long_division(num, den, digits):
 
 
 class TestMake:
+    """Rational(n, d) is already canonical: nothing wraps the constructor."""
+
     def test_canonicalizes(self):
-        assert make(2, 4) == Fraction(1, 2)
+        assert Fraction(2, 4) == Fraction(1, 2)
 
     def test_normalizes_sign(self):
-        q = make(3, -6)
+        q = Fraction(3, -6)
         assert q == Fraction(-1, 2)
         assert q.denominator == 2
 
     def test_zero(self):
-        q = make(0, 7)
+        q = Fraction(0, 7)
         assert q.numerator == 0 and q.denominator == 1
-
-    def test_zero_denominator(self):
-        with pytest.raises(DomainError):
-            make(1, 0)
-
-    def test_rejects_floats(self):
-        with pytest.raises(DomainError):
-            make(0.5)
 
     @given(n=st.integers(-10 ** 12, 10 ** 12),
            d=st.integers(-10 ** 12, 10 ** 12).filter(lambda d: d != 0))
     def test_canonical_invariant(self, n, d):
-        q = make(n, d)
+        q = Fraction(n, d)
         assert q.denominator > 0
         assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
 class TestArith:
-    def test_add(self):
-        assert arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+    """Rational operators are exact and keep the canonical form."""
 
     @given(n=st.integers(1, 10 ** 6), m=st.integers(1, 10 ** 6))
     def test_reciprocal_pairs_multiply_to_one(self, n, m):
-        assert arith(make(m, n), make(n, m), "mul") == 1
-
-    def test_divide_by_zero(self):
-        with pytest.raises(DomainError):
-            arith(Fraction(1, 2), Fraction(0), "div")
+        assert Fraction(m, n) * Fraction(n, m) == 1
 
     @given(a=rationals, b=rationals, c=rationals)
     def test_field_axioms(self, a, b, c):
@@ -95,7 +86,7 @@ class TestArith:
 
     @given(a=nonzero_rationals)
     def test_multiplicative_inverse(self, a):
-        assert a * arith(Fraction(1), a, "div") == 1
+        assert a * (1 / a) == 1
 
     @given(a=rationals, b=rationals, c=rationals)
     def test_order_axioms(self, a, b, c):
@@ -109,27 +100,25 @@ class TestArith:
         assert (a < b) + (a == b) + (a > b) == 1
 
     @given(a=rationals, b=rationals,
-           op=st.sampled_from(["add", "sub", "mul", "div"]))
+           op=st.sampled_from([operator.add, operator.sub, operator.mul,
+                               operator.truediv]))
     def test_results_stay_canonical(self, a, b, op):
-        if op == "div" and b == 0:
+        if op is operator.truediv and b == 0:
             return
-        q = arith(a, b, op)
+        q = op(a, b)
         assert q.denominator > 0
         assert math.gcd(abs(q.numerator), q.denominator) == 1
 
 
-class TestCompare:
-    def test_examples(self):
-        assert compare(make(1, 3), make(1, 2)) == -1
-        assert compare(make(2, 4), make(1, 2)) == 0
-        assert compare(make(-1, 2), make(-1, 3)) == -1
+class TestIntFromDigits:
+    @pytest.mark.parametrize("length", [1, 4000, 4001, 4300, 4301, 5000, 12345])
+    def test_repunits_past_the_str_to_int_limit(self, length):
+        # independent value: the repunit of n ones is (10^n - 1) / 9
+        assert int_from_digits("1" * length) == (10 ** length - 1) // 9
 
-    @given(k=st.integers(-10 ** 6, 10 ** 6), l=st.integers(1, 10 ** 4),
-           m=st.integers(-10 ** 6, 10 ** 6), n=st.integers(1, 10 ** 4))
-    def test_matches_cross_multiplication(self, k, l, m, n):
-        lhs = compare(make(k, l), make(m, n))
-        rhs = (k * n > l * m) - (k * n < l * m)
-        assert lhs == rhs
+    @given(n=st.integers(0, 10 ** 30), pad=st.integers(0, 5000))
+    def test_leading_zeros_and_round_trip(self, n, pad):
+        assert int_from_digits("0" * pad + str(n)) == n
 
 
 class TestToDecimal:
@@ -198,3 +187,9 @@ class TestParseRational:
     @given(q=rationals, digits=st.integers(0, 10))
     def test_decimal_round_trip_within_accuracy(self, q, digits):
         assert abs(parse_rational(to_decimal(q, digits)) - q) <= Fraction(1, 10 ** digits)
+
+    def test_literals_past_the_str_to_int_limit(self):
+        ones = (10 ** 5000 - 1) // 9
+        assert parse_rational("1" * 5000) == ones
+        assert parse_rational("-" + "1" * 5000 + "/3") == Fraction(-ones, 3)
+        assert parse_rational("0." + "1" * 5000) == Fraction(ones, 10 ** 5000)
