@@ -54,10 +54,8 @@ from .real import (
 from .lub import (
     HarmonicRun,
     HarmonicStep,
-    LubConfig,
     UpperBoundOracle,
     finite_set_oracle,
-    lub,
     lub_bisection,
     lub_harmonic,
     run_harmonic_lub,
@@ -78,7 +76,6 @@ from .expr import (
     Abs,
     Add,
     Div,
-    EvalConfig,
     Expr,
     Max,
     Min,
@@ -105,7 +102,7 @@ __all__ = [
     "as_real", "from_rational", "from_sequence", "separate", "find_apartness",
     "reciprocal", "divide", "lt_witness", "minimum", "maximum",
     # least upper bounds
-    "UpperBoundOracle", "LubConfig", "lub", "lub_harmonic", "lub_bisection",
+    "UpperBoundOracle", "lub_harmonic", "lub_bisection",
     "sqrt_oracle", "finite_set_oracle", "run_harmonic_lub",
     "HarmonicRun", "HarmonicStep",
     # extension
@@ -113,5 +110,5 @@ __all__ = [
     "close_to_witness", "infimum", "supremum", "eps_minimizer", "eps_maximizer",
     # expressions
     "Expr", "RationalLit", "Neg", "Abs", "Sqrt", "Add", "Sub", "Mul", "Div",
-    "Min", "Max", "parse", "EvalConfig", "evaluate", "sqrt_real",
+    "Min", "Max", "parse", "evaluate", "sqrt_real",
 ]

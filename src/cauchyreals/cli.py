@@ -10,6 +10,10 @@ negative radicand, invalid operand), 4 budget exhausted.
 Precision requests are capped: --digits at MAX_DIGITS and --k at MAX_K.  A
 request beyond a cap raises BudgetExceeded (exit 4) instead of running for
 as long as the digits take.
+
+Each search budget is a flag of the commands that spend it, and only of
+those: --sep-budget of eval and compare, --lub-steps of sqrt and lub-demo
+(their --mode paper), --descent-budget of lub-demo (its --mode fast).
 """
 
 import argparse
@@ -18,11 +22,11 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceeded, Error, NegativeRadicand, ParseError
-from .expr import EvalConfig, evaluate, parse, sqrt_real
+from .expr import evaluate, parse, sqrt_real
 from .lub import (DEFAULT_DESCENT_BUDGET, DEFAULT_STEP_LIMIT, UpperBoundOracle,
                   lub_bisection, lub_harmonic, run_harmonic_lub, sqrt_oracle)
 from .rational import parse_rational, to_decimal
-from .real import Verdict, from_rational, separate
+from .real import DEFAULT_SEPARATION_BUDGET, Verdict, from_rational, separate
 
 __all__ = ["main", "console", "build_parser"]
 
@@ -62,7 +66,6 @@ def build_parser():
     p_eval.add_argument("--digits", type=_nonneg_int, default=10,
                         help="fractional digits to print (default 10, "
                              f"at most {MAX_DIGITS})")
-    _budget_flags(p_eval)
 
     p_cmp = sub.add_parser("compare", help="order two expressions at tolerance 1/K")
     p_cmp.add_argument("expr1")
@@ -70,7 +73,6 @@ def build_parser():
     p_cmp.add_argument("--k", type=_positive_int, default=10 ** 6,
                        help="comparison precision index (default 10^6, "
                             "at most 10^4000)")
-    _budget_flags(p_cmp)
 
     p_sqrt = sub.add_parser("sqrt", help="square root of a rational")
     p_sqrt.add_argument("value", help="rational literal, e.g. 2 or 22/7 or 1.21")
@@ -78,7 +80,6 @@ def build_parser():
     p_sqrt.add_argument("--mode", choices=("paper", "fast"), default="fast",
                         help="paper = slow harmonic-step reference loop, "
                              "fast = integer square root (default)")
-    _budget_flags(p_sqrt)
 
     p_demo = sub.add_parser("lub-demo",
                             help="run the least-upper-bound procedure on a "
@@ -87,38 +88,33 @@ def build_parser():
                         help="demo set: rationals with square below 2")
     p_demo.add_argument("--digits", type=_nonneg_int, default=2)
     p_demo.add_argument("--mode", choices=("paper", "fast"), default="paper")
-    _budget_flags(p_demo)
 
+    for p in (p_eval, p_cmp):
+        p.add_argument("--sep-budget", type=_positive_int,
+                       default=DEFAULT_SEPARATION_BUDGET,
+                       help="separation budget for denominators and sqrt "
+                            "radicands (default 2^20)")
+    for p in (p_sqrt, p_demo):
+        p.add_argument("--lub-steps", type=_positive_int,
+                       default=DEFAULT_STEP_LIMIT,
+                       help="step cap for the harmonic loop of --mode paper "
+                            "(default 2^24)")
+    p_demo.add_argument("--descent-budget", type=_positive_int,
+                        default=DEFAULT_DESCENT_BUDGET,
+                        help="query cap for the bisection bracket search of "
+                             "--mode fast (default 2^20)")
     return parser
 
 
-def _budget_flags(sub):
-    sub.add_argument("--sep-budget", type=_positive_int, default=2 ** 20,
-                     help="separation budget for denominators and sqrt "
-                          "radicands (default 2^20)")
-    sub.add_argument("--lub-steps", type=_positive_int, default=DEFAULT_STEP_LIMIT,
-                     help="step cap for the harmonic loop of sqrt --mode paper "
-                          "and lub-demo --mode paper (default 2^24)")
-    sub.add_argument("--descent-budget", type=_positive_int,
-                     default=DEFAULT_DESCENT_BUDGET,
-                     help="query cap for the bisection bracket search of "
-                          "lub-demo --mode fast (default 2^20)")
-
-
-def _config(args):
-    return EvalConfig(sep_budget=args.sep_budget)
-
-
 def _cmd_eval(args):
-    x = evaluate(parse(args.expr), _config(args))
+    x = evaluate(parse(args.expr), args.sep_budget)
     print(x.decimal(args.digits))
     return 0
 
 
 def _cmd_compare(args):
-    cfg = _config(args)
-    x = evaluate(parse(args.expr1), cfg)
-    y = evaluate(parse(args.expr2), cfg)
+    x = evaluate(parse(args.expr1), args.sep_budget)
+    y = evaluate(parse(args.expr2), args.sep_budget)
     verdict = separate(x, y, args.k)
     if verdict is Verdict.LESS:
         print("LESS")
@@ -132,7 +128,7 @@ def _cmd_compare(args):
 def _cmd_sqrt(args):
     c = parse_rational(args.value)
     if args.mode == "fast":
-        x = sqrt_real(from_rational(c), _config(args))
+        x = sqrt_real(from_rational(c))
     else:
         if c < 0:
             raise NegativeRadicand(f"radicand {c} is negative")

@@ -21,6 +21,11 @@ binary floats.
 
 Syntax errors carry the byte offset of the offending position and the set of
 tokens that would have been acceptable there.
+
+Nesting is capped at MAX_DEPTH levels, where each '(', function call and
+unary '-' opens one level.  The token that opens a level beyond the cap is
+a parse error, so that nesting cannot exhaust the Python stack of the parser
+or of the evaluation.
 """
 
 from __future__ import annotations
@@ -31,15 +36,15 @@ from typing import Tuple, Union
 
 from .errors import NegativeRadicand, ParseError
 from .rational import Rational, int_from_digits
-from .real import (NOT_SEPARATED, Real, Verdict, ZERO, divide, find_apartness,
-                   from_rational, maximum, minimum, separate)
+from .real import (DEFAULT_SEPARATION_BUDGET, NOT_SEPARATED, Real, Verdict,
+                   ZERO, divide, find_apartness, from_rational, maximum,
+                   minimum, separate)
 
 __all__ = [
     "Expr",
     "RationalLit", "Neg", "Add", "Sub", "Mul", "Div",
     "Sqrt", "Abs", "Min", "Max",
     "parse",
-    "EvalConfig",
     "evaluate",
     "sqrt_real",
 ]
@@ -173,11 +178,14 @@ def _literal_value(token):
 
 _FACTOR_EXPECTED = ("number", "'('", "'-'", "function name")
 
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,6 +202,16 @@ class _Parser:
             raise ParseError(f"expected {' or '.join(expected)}, got {got}",
                              offset=token.offset, expected=expected)
         return self.advance()
+
+    def nested(self, rule, opener):
+        """Run the parse method `rule` one nesting level deeper."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             offset=opener.offset)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def parse_expr(self):
         node = self.parse_term()
@@ -218,14 +236,14 @@ class _Parser:
             return RationalLit(_literal_value(token))
         if token.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.nested(self.parse_expr, token)
             self.expect(")", ("')'",))
             return node
         if token.kind == "-":
             self.advance()
-            return Neg(self.parse_factor())
+            return Neg(self.nested(self.parse_factor, token))
         if token.kind == "name":
-            return self.parse_call()
+            return self.nested(self.parse_call, token)
         got = repr(token.text) if token.kind != "end" else "end of input"
         raise ParseError(f"expected {' or '.join(_FACTOR_EXPECTED)}, got {got}",
                          offset=token.offset, expected=_FACTOR_EXPECTED)
@@ -263,20 +281,6 @@ def parse(src: str) -> Expr:
 # -- evaluation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Budgets for the operations that search rather than compute.
-
-    sep_budget bounds the separation from zero of Div denominators and of
-    Sqrt radicands.
-    """
-
-    sep_budget: int = 2 ** 20
-
-
-DEFAULT_CONFIG = EvalConfig()
-
-
 def _root_midpoint(a: Rational, k: int) -> Rational:
     """Rational within 1/(4k) of sqrt(a), for a >= 0.
 
@@ -288,7 +292,7 @@ def _root_midpoint(a: Rational, k: int) -> Rational:
     return Rational(2 * m + 1, 1 << (n + 1))
 
 
-def sqrt_real(x: Real, cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
+def sqrt_real(x: Real, sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
     """Square root of a nonnegative real, by integer square roots.
 
     approx(k) reads the radicand at a precision p, clamps the reading a at
@@ -299,11 +303,11 @@ def sqrt_real(x: Real, cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
       short-circuit to their exact roots);
     * a radicand with an apartness witness x >= 1/k0 is read at
       p = 2k*(isqrt(k0) + 1), since there |sqrt(a) - sqrt(x)| <= |a - x|*sqrt(k0);
-    * a radicand within 3/cfg.sep_budget of zero, where no witness exists,
+    * a radicand within 3/sep_budget of zero, where no witness exists,
       is read at p = 4k^2, since |sqrt(a) - sqrt(x)| <= sqrt(|a - x|).
 
     A radicand certified negative raises NegativeRadicand: at construction
-    when `separate` at cfg.sep_budget or the witness's sign says so, during
+    when `separate` at sep_budget or the witness's sign says so, during
     approx(k) when a reading falls below -1/p.
     """
     exact = x.exact_value()
@@ -315,10 +319,10 @@ def sqrt_real(x: Real, cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
         if root_num ** 2 == exact.numerator and root_den ** 2 == exact.denominator:
             return from_rational(Rational(root_num, root_den))
         return Real(lambda k: _root_midpoint(exact, k))
-    if separate(x, ZERO, cfg.sep_budget) is Verdict.LESS:
+    if separate(x, ZERO, sep_budget) is Verdict.LESS:
         raise NegativeRadicand(
-            f"radicand certified negative at precision {cfg.sep_budget}")
-    witness = find_apartness(x, cfg.sep_budget)
+            f"radicand certified negative at precision {sep_budget}")
+    witness = find_apartness(x, sep_budget)
     scale = None
     if witness is not NOT_SEPARATED:
         if x.approx(2 * witness.k0) < 0:
@@ -336,39 +340,40 @@ def sqrt_real(x: Real, cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
     return Real(compute)
 
 
-def evaluate(expr: "Expr | str", cfg: EvalConfig = DEFAULT_CONFIG) -> Real:
+def evaluate(expr: "Expr | str",
+             sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
     """Evaluate an Expr (or source string) to a Real.
 
-    Division separates the denominator from zero within cfg.sep_budget and
+    Division separates the denominator from zero within sep_budget and
     raises DivisionNotSeparated when it cannot; a certified-negative sqrt
     radicand raises NegativeRadicand; exhausted search budgets raise
     BudgetExceeded.
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    return _eval(expr, cfg)
+    return _eval(expr, sep_budget)
 
 
-def _eval(node, cfg):
+def _eval(node, sep_budget):
     if isinstance(node, RationalLit):
         return from_rational(node.value)
     if isinstance(node, Neg):
-        return -_eval(node.operand, cfg)
+        return -_eval(node.operand, sep_budget)
     if isinstance(node, Abs):
-        return abs(_eval(node.operand, cfg))
+        return abs(_eval(node.operand, sep_budget))
     if isinstance(node, Sqrt):
-        return sqrt_real(_eval(node.operand, cfg), cfg)
+        return sqrt_real(_eval(node.operand, sep_budget), sep_budget)
     if isinstance(node, Add):
-        return _eval(node.left, cfg) + _eval(node.right, cfg)
+        return _eval(node.left, sep_budget) + _eval(node.right, sep_budget)
     if isinstance(node, Sub):
-        return _eval(node.left, cfg) - _eval(node.right, cfg)
+        return _eval(node.left, sep_budget) - _eval(node.right, sep_budget)
     if isinstance(node, Mul):
-        return _eval(node.left, cfg) * _eval(node.right, cfg)
+        return _eval(node.left, sep_budget) * _eval(node.right, sep_budget)
     if isinstance(node, Div):
-        return divide(_eval(node.left, cfg), _eval(node.right, cfg),
-                      cfg.sep_budget)
+        return divide(_eval(node.left, sep_budget),
+                      _eval(node.right, sep_budget), sep_budget)
     if isinstance(node, Min):
-        return minimum(_eval(node.left, cfg), _eval(node.right, cfg))
+        return minimum(_eval(node.left, sep_budget), _eval(node.right, sep_budget))
     if isinstance(node, Max):
-        return maximum(_eval(node.left, cfg), _eval(node.right, cfg))
+        return maximum(_eval(node.left, sep_budget), _eval(node.right, sep_budget))
     raise TypeError(f"not an expression node: {node!r}")

@@ -13,10 +13,13 @@ last refused query value and the current upper bound):
   i-th refusal brackets the answer within 1/i.  Convergence is harmonic;
   use it for auditing, not for digits.
 * `lub_bisection`: finds a refused lower bracket by exponential descent,
-  then bisects.  This is the mode that reaches real precision.
+  then bisects.  This is the procedure that reaches real precision.
 
 Both return `Real`s whose evaluation is lazy, resumable and memoized: asking
-for more digits continues the same run instead of restarting it.
+for more digits continues the same run instead of restarting it.  Each
+search budget is a plain int argument of the procedure that spends it:
+`max_steps` of `lub_harmonic` and `run_harmonic_lub`, `descent_budget` of
+`lub_bisection`.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .real import Real, Verdict, as_real, separate
 
 __all__ = [
     "UpperBoundOracle",
-    "LubConfig",
-    "lub",
     "lub_harmonic",
     "lub_bisection",
     "sqrt_oracle",
@@ -61,25 +62,6 @@ class UpperBoundOracle:
 
     def __call__(self, q) -> bool:
         return bool(self.query(Rational(q)))
-
-
-@dataclass(frozen=True)
-class LubConfig:
-    """Bundle of knobs for `lub`: initial integer upper bound and mode."""
-
-    initial_upper: int
-    mode: str = "fast"  # "fast" (bisection) or "paper" (harmonic reference)
-    max_steps: int = DEFAULT_STEP_LIMIT
-    descent_budget: int = DEFAULT_DESCENT_BUDGET
-
-
-def lub(oracle: UpperBoundOracle, config: LubConfig) -> Real:
-    """Dispatch on config.mode; see `lub_harmonic` and `lub_bisection`."""
-    if config.mode == "paper":
-        return lub_harmonic(oracle, config.initial_upper, config.max_steps)
-    if config.mode == "fast":
-        return lub_bisection(oracle, config.initial_upper, config.descent_budget)
-    raise ValueError(f"unknown mode {config.mode!r}")
 
 
 def _require_initial_upper(oracle, initial_upper):
@@ -180,17 +162,15 @@ def run_harmonic_lub(oracle: UpperBoundOracle, initial_upper: int,
     """Traced harmonic run to precision 1/precision.  Small precisions only:
     the trace keeps every step."""
     _require_initial_upper(oracle, initial_upper)
-    engine = _HarmonicEngine(oracle, initial_upper, max_steps)
     steps = []
-    original = engine.oracle
 
     def recording(q):
-        answer = original(q)
+        answer = oracle(q)
         steps.append(HarmonicStep(index=len(steps) + 1, upper=engine.upper,
                                   step=engine.step, answer=answer))
         return answer
 
-    engine.oracle = recording
+    engine = _HarmonicEngine(recording, initial_upper, max_steps)
     result = engine.value_at(precision)
     return HarmonicRun(initial_upper=initial_upper, precision=precision,
                        steps=tuple(steps), result=result)

@@ -20,8 +20,9 @@ __all__ = [
     "to_decimal",
 ]
 
-# `-? digits ('.' digits)?` or `-? digits '/' digits`
-_LITERAL = re.compile(r"\A\s*(-?)(\d+)(?:\.(\d+)|/(\d+))?\s*\Z")
+# `-? digits ('.' digits)?` or `-? digits '/' digits`, digits ASCII 0-9 only
+# (`\d` would also take every other Unicode decimal digit)
+_LITERAL = re.compile(r"\A\s*(-?)([0-9]+)(?:\.([0-9]+)|/([0-9]+))?\s*\Z")
 
 
 def parse_rational(text):

@@ -190,6 +190,8 @@ def as_real(value) -> Real:
 
 def from_rational(q: RationalLike) -> Real:
     """Embed a rational as the constant approximation procedure."""
+    if type(q) is Rational:
+        return Real(None, exact=q)
     if isinstance(q, float):
         raise DomainError("binary floats are inexact; pass a Rational or int")
     return Real(None, exact=Rational(q))

@@ -1,11 +1,13 @@
 """Command-line surface: commands, output channels, exit codes."""
 
+import argparse
 import math
 from fractions import Fraction
 
 import pytest
 
-from cauchyreals.cli import MAX_DIGITS, MAX_K, main
+from cauchyreals.cli import MAX_DIGITS, MAX_K, build_parser, main
+from cauchyreals.expr import MAX_DEPTH
 
 from support import digits_to_int
 
@@ -71,9 +73,12 @@ class TestEvalCommand:
         assert (code, out) == (3, "")
         assert "negative" in err
 
-    def test_search_flags_are_accepted_and_do_not_reach_eval(self, capsys):
-        code, out, _ = run(capsys, "eval", "sqrt(sqrt(2))", "--digits", "30",
-                           "--lub-steps", "1", "--descent-budget", "1")
+    def test_lub_flags_are_usage_errors(self, capsys):
+        for flag in ("--lub-steps", "--descent-budget"):
+            with pytest.raises(SystemExit) as info:
+                main(["eval", "sqrt(sqrt(2))", flag, "1"])
+            assert info.value.code == 2
+        code, out, _ = run(capsys, "eval", "sqrt(sqrt(2))", "--digits", "30")
         assert code == 0
         oracle = math.isqrt(math.isqrt(2 * 10 ** 120))
         assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
@@ -142,8 +147,9 @@ class TestSqrtCommand:
         assert code == 3
 
     def test_malformed_radicand_is_parse_error(self, capsys):
-        code, _, err = run(capsys, "sqrt", "two")
-        assert code == 2
+        for text in ("two", "\u0662"):  # ARABIC-INDIC DIGIT TWO
+            code, out, _ = run(capsys, "sqrt", text)
+            assert (code, out) == (2, "")
 
     def test_budget_exit_code(self, capsys):
         # paper mode needs 4*10^6 refusals for 6 digits; 100 steps cannot
@@ -195,7 +201,46 @@ class TestPrecisionCaps:
         assert (code, out.strip()) == (0, f"CLOSE(1/{MAX_K})")
 
 
+class TestNestingCap:
+    @pytest.mark.parametrize("src,offset", [
+        ("(" * 1000 + "1" + ")" * 1000, MAX_DEPTH),
+        ("abs(" * 300 + "1" + ")" * 300, 4 * MAX_DEPTH),
+        ("(" + "-" * 1000 + "1)", MAX_DEPTH),
+        ("(" + "-(" * 500 + "1" + ")" * 501, MAX_DEPTH),
+    ], ids=["parentheses", "abs", "unary-minus", "mixed"])
+    def test_too_deep_is_parse_error_at_the_opener(self, capsys, src, offset):
+        code, out, err = run(capsys, "eval", src)
+        assert (code, out) == (2, "")
+        assert f"nesting deeper than {MAX_DEPTH} levels (at offset {offset})" in err
+
+    def test_at_the_cap_runs(self, capsys):
+        # MAX_DEPTH - 2 calls of abs, one unary minus and one sqrt
+        depth = MAX_DEPTH - 2
+        src = "abs(" * depth + "-sqrt(2)" + ")" * depth
+        code, out, _ = run(capsys, "eval", src, "--digits", "30")
+        assert code == 0
+        oracle = math.isqrt(2 * 10 ** 60)
+        assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
+        # one more level makes sqrt, the innermost opener, the one past the cap
+        code, out, err = run(capsys, "eval", "(" + src + ")")
+        assert (code, out) == (2, "")
+        assert f"(at offset {src.index('sqrt') + 1})" in err
+
+
 class TestUsage:
+    def test_each_command_has_only_the_flags_it_reads(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        flags = {name: {flag for action in command._actions
+                        for flag in action.option_strings} - {"-h", "--help"}
+                 for name, command in sub.choices.items()}
+        assert flags == {
+            "eval": {"--digits", "--sep-budget"},
+            "compare": {"--k", "--sep-budget"},
+            "sqrt": {"--digits", "--mode", "--lub-steps"},
+            "lub-demo": {"--digits", "--mode", "--lub-steps", "--descent-budget"},
+        }
+
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main([])

@@ -13,7 +13,6 @@ from cauchyreals import (
     Add,
     Div,
     DivisionNotSeparated,
-    EvalConfig,
     Error,
     Max,
     Min,
@@ -163,10 +162,10 @@ class TestEvaluate:
             evaluate("sqrt(0 - 4)")
 
     def test_division_budget_is_configurable(self):
-        small = EvalConfig(sep_budget=64)
         with pytest.raises(DivisionNotSeparated):
-            evaluate("1 / 0.001", small)  # |den| = 1/1000 < 3/64 is below the budget
-        x = evaluate("1 / 0.001", EvalConfig(sep_budget=2 ** 14))
+            # |den| = 1/1000 < 3/64 is below the budget
+            evaluate("1 / 0.001", sep_budget=64)
+        x = evaluate("1 / 0.001", sep_budget=2 ** 14)
         assert_within(x, 1000, (1, 10, 100))
 
     def test_min_max_abs(self):
@@ -312,10 +311,9 @@ class TestIntegerSquareRoot:
     def test_radicand_just_below_zero_is_rejected(self, value):
         # budget K = 64: value lies in (-3/(4K), -1/(2K)], where separate()
         # alone may answer CLOSE
-        cfg = EvalConfig(sep_budget=64)
         for x in (drifting(value), evaluate("sqrt(2) - sqrt(2)") + value):
             with pytest.raises(NegativeRadicand):
-                sqrt_real(x, cfg).approx(10 ** 4)
+                sqrt_real(x, sep_budget=64).approx(10 ** 4)
 
     def test_shared_root_across_threads(self):
         root = evaluate("sqrt(1 + sqrt(2)) + sqrt(3)")

@@ -11,13 +11,11 @@ from cauchyreals import (
     DomainError,
     GapCertificate,
     GreaterGap,
-    LubConfig,
     UpperBoundOracle,
     finite_set_oracle,
     find_apartness,
     from_rational,
     lt_witness,
-    lub,
     lub_bisection,
     lub_harmonic,
     run_harmonic_lub,
@@ -246,17 +244,6 @@ class TestFiniteSetOracle:
         grid = [Fraction(n, 32) for n in range(-16, 32)]
         answers = [oracle(q) for q in grid]
         assert answers == sorted(answers)
-
-
-class TestConfigDispatch:
-    def test_modes(self):
-        paper = lub(sqrt_oracle(2), LubConfig(initial_upper=2, mode="paper"))
-        fast = lub(sqrt_oracle(2), LubConfig(initial_upper=2, mode="fast"))
-        assert abs(paper.approx(10) - fast.approx(10)) <= Fraction(2, 10)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            lub(sqrt_oracle(2), LubConfig(initial_upper=2, mode="warp"))
 
 
 class TestApartnessIntegration:

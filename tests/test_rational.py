@@ -180,6 +180,15 @@ class TestParseRational:
         with pytest.raises(DomainError):
             parse_rational("1/0")
 
+    @given(digit=st.characters(categories=("Nd",),
+                               exclude_characters="0123456789"),
+           before=st.text("0123456789", max_size=3),
+           after=st.text("0123456789", max_size=3),
+           form=st.sampled_from(["{}", "-{}", "1/{}", "{}/7", "1.{}", "{}.5"]))
+    def test_rejects_non_ascii_digits(self, digit, before, after, form):
+        with pytest.raises(ParseError):
+            parse_rational(form.format(before + digit + after))
+
     @given(q=rationals)
     def test_fraction_round_trip(self, q):
         assert parse_rational(f"{q.numerator}/{q.denominator}") == q
