@@ -24,21 +24,25 @@ tokens that would have been acceptable there.
 
 Nesting is capped at MAX_DEPTH levels, where each '(', function call and
 unary '-' opens one level.  The token that opens a level beyond the cap is
-a parse error, so that nesting cannot exhaust the Python stack of the parser
-or of the evaluation.
+a parse error, so that nesting cannot exhaust the Python stack of the
+parser, and bounds the depth of the evaluation.  Chains of '+'/'-' or
+'*'/'/' open no level: the parser builds them in loops, and `evaluate` walks
+each as one n-ary node.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Tuple, Union
+from operator import neg
+from typing import NamedTuple, Union
 
 from .errors import NegativeRadicand, ParseError
 from .rational import Rational, int_from_digits
 from .real import (DEFAULT_SEPARATION_BUDGET, NOT_SEPARATED, Real, Verdict,
-                   ZERO, divide, find_apartness, from_rational, maximum,
-                   minimum, separate)
+                   ZERO, find_apartness, from_rational, invert, maximum,
+                   minimum, product_of, separate, sum_of)
 
 __all__ = [
     "Expr",
@@ -118,44 +122,40 @@ _UNARY = {"sqrt", "abs"}
 # -- tokenizer ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "name", one of "+-*/(),", "end"
     text: str
     offset: int
 
 
-_DIGITS = frozenset("0123456789")
+# Whitespace (`\s` is exactly `str.isspace`), then one of: a number, an
+# operator, a run of word characters other than digits and '_' (a superset
+# of `str.isalpha`), or any other character but whitespace.  A '/' or '.'
+# joins two digit runs into one number only when a digit follows it.
+_TOKEN = re.compile(r"\s*(?:([0-9]+(?:[./][0-9]+)?)|([-+*/(),])|([^\W\d_]+)|(\S))")
 
 
 def _tokenize(src):
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        start = i
-        if c in _DIGITS:
-            while i < n and src[i] in _DIGITS:
-                i += 1
-            if i + 1 < n and src[i] in "./" and src[i + 1] in _DIGITS:
-                i += 1
-                while i < n and src[i] in _DIGITS:
-                    i += 1
-            tokens.append(_Token("number", src[start:i], start))
-        elif c.isalpha():
-            while i < n and src[i].isalpha():
-                i += 1
-            tokens.append(_Token("name", src[start:i], start))
-        elif c in "+-*/(),":
-            tokens.append(_Token(c, c, start))
-            i += 1
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text = m[group]
+        offset = m.start(group)
+        if group == 1:
+            kind = "number"
+        elif group == 2:
+            kind = text
+        elif group == 3 and text.isalpha():
+            kind = "name"
         else:
-            raise ParseError(f"unexpected character {c!r}", offset=i)
-    tokens.append(_Token("end", "", n))
+            if group == 3:
+                # a numeral such as '½' ends the letters of a name
+                while text[0].isalpha():
+                    text = text[1:]
+                    offset += 1
+            raise ParseError(f"unexpected character {text[0]!r}", offset=offset)
+        tokens.append(_Token(kind, text, offset))
+    tokens.append(_Token("end", "", len(src)))
     return tokens
 
 
@@ -344,6 +344,11 @@ def evaluate(expr: "Expr | str",
              sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
     """Evaluate an Expr (or source string) to a Real.
 
+    Every left-leaning run of '+'/'-' is one `sum_of` and every run of
+    '*'/'/' one `product_of`, walked without recursion.  Identical subtrees
+    are built once: a node is keyed on the function that builds it and the
+    identities of the Reals it is built from (a literal on its value).
+
     Division separates the denominator from zero within sep_budget and
     raises DivisionNotSeparated when it cannot; a certified-negative sqrt
     radicand raises NegativeRadicand; exhausted search budgets raise
@@ -351,29 +356,69 @@ def evaluate(expr: "Expr | str",
     """
     if isinstance(expr, str):
         expr = parse(expr)
-    return _eval(expr, sep_budget)
+    return _eval(expr, sep_budget, {})
 
 
-def _eval(node, sep_budget):
-    if isinstance(node, RationalLit):
-        return from_rational(node.value)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, sep_budget)
-    if isinstance(node, Abs):
-        return abs(_eval(node.operand, sep_budget))
-    if isinstance(node, Sqrt):
-        return sqrt_real(_eval(node.operand, sep_budget), sep_budget)
-    if isinstance(node, Add):
-        return _eval(node.left, sep_budget) + _eval(node.right, sep_budget)
-    if isinstance(node, Sub):
-        return _eval(node.left, sep_budget) - _eval(node.right, sep_budget)
-    if isinstance(node, Mul):
-        return _eval(node.left, sep_budget) * _eval(node.right, sep_budget)
-    if isinstance(node, Div):
-        return divide(_eval(node.left, sep_budget),
-                      _eval(node.right, sep_budget), sep_budget)
-    if isinstance(node, Min):
-        return minimum(_eval(node.left, sep_budget), _eval(node.right, sep_budget))
-    if isinstance(node, Max):
-        return maximum(_eval(node.left, sep_budget), _eval(node.right, sep_budget))
+def _eval(node, sep_budget, built):
+    """The Real of node; `built` maps the key of every node built so far to
+    its Real."""
+    kind = type(node)
+    if kind is RationalLit:
+        q = node.value
+        # not keyed on q itself: hashing a Fraction takes a modular inverse
+        key = (q.numerator, q.denominator)
+        real = built.get(key)
+        if real is None:
+            real = built[key] = from_rational(q)
+        return real
+    if kind is Add or kind is Sub:
+        return _chain(node, (Add, Sub), sum_of, sep_budget, built)
+    if kind is Mul or kind is Div:
+        return _chain(node, (Mul, Div), product_of, sep_budget, built)
+    if kind is Sqrt:
+        x = _eval(node.operand, sep_budget, built)
+        return _build(built, (sqrt_real, id(x)), sqrt_real, x, sep_budget)
+    if kind is Neg or kind is Abs:
+        x = _eval(node.operand, sep_budget, built)
+        make = neg if kind is Neg else abs
+        return _build(built, (make, id(x)), make, x)
+    if kind is Min or kind is Max:
+        x = _eval(node.left, sep_budget, built)
+        y = _eval(node.right, sep_budget, built)
+        make = minimum if kind is Min else maximum
+        return _build(built, (make, id(x), id(y)), make, x, y)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _chain(node, kinds, make, sep_budget, built):
+    """make over the operands of the run of `kinds` nodes through node,
+    leftmost first, walked without recursion: the operand of a '-' is
+    negated, that of a '/' inverted (after `invert` separates it from
+    zero)."""
+    links = []
+    while type(node) in kinds:
+        links.append(node)
+        node = node.left
+    x = _eval(node, sep_budget, built)
+    operands, key = [x], [make, id(x)]
+    for link in reversed(links):
+        y = _eval(link.right, sep_budget, built)
+        kind = type(link)
+        if kind is Sub:
+            y = _build(built, (neg, id(y)), neg, y)
+        elif kind is Div:
+            y = _build(built, (invert, id(y)), invert, y, sep_budget)
+        operands.append(y)
+        key.append(id(y))
+    return _build(built, tuple(key), make, operands)
+
+
+def _build(built, key, make, *args):
+    """The Real built before under key, or make(*args), kept under key.
+
+    A key is the function that builds the node and the identities of the
+    Reals it is built from, so equal keys denote equal values."""
+    real = built.get(key)
+    if real is None:
+        real = built[key] = make(*args)
+    return real

@@ -42,9 +42,12 @@ __all__ = [
     "as_real",
     "from_rational",
     "from_sequence",
+    "sum_of",
+    "product_of",
     "separate",
     "find_apartness",
     "reciprocal",
+    "invert",
     "divide",
     "lt_witness",
     "minimum",
@@ -89,7 +92,8 @@ class Real:
 
     def approx(self, k: int) -> Rational:
         """Rational within 1/k of this number; deterministic per k."""
-        _check_precision(k)
+        if type(k) is not int or k < 1:
+            _check_precision(k)
         if self._exact is not None:
             return self._exact
         with self._lock:
@@ -128,11 +132,7 @@ class Real:
     # keep the result regular.
 
     def __add__(self, other):
-        other = as_real(other)
-        exact = None
-        if self._exact is not None and other._exact is not None:
-            exact = self._exact + other._exact
-        return Real(lambda k: self.approx(2 * k) + other.approx(2 * k), exact)
+        return sum_of((self, other))
 
     __radd__ = __add__
 
@@ -147,21 +147,7 @@ class Real:
         return as_real(other) + (-self)
 
     def __mul__(self, other):
-        other = as_real(other)
-        exact = None
-        if self._exact is not None and other._exact is not None:
-            exact = self._exact * other._exact
-        scale = None
-
-        def compute(k):
-            # |x*y - xk*yk| <= l*|y - yk| + |x - xk|*l <= 1/k at precision 2lk.
-            nonlocal scale
-            if scale is None:
-                scale = max(self.bound(), other.bound())
-            m = 2 * scale * k
-            return self.approx(m) * other.approx(m)
-
-        return Real(compute, exact)
+        return product_of((self, other))
 
     __rmul__ = __mul__
 
@@ -216,6 +202,118 @@ def from_sequence(seq: Callable[[int], Rational],
         if not isinstance(n0, int) or n0 < 1:
             raise ValueError(f"modulus must return a positive index, got {n0!r}")
         return Rational(seq(n0))
+
+    return Real(compute)
+
+
+# -- sums and products of n operands --------------------------------------
+# One rule each; `x + y` and `x * y` are their n = 2 case.  Operands are
+# grouped by identity, so an operand that occurs c times is read once.
+
+
+def _group(operands):
+    """The distinct operands, as Reals, with their numbers of occurrences;
+    the (value, count) pairs of the exact ones; the (Real, count) pairs of
+    the others."""
+    counts = {}
+    for x in operands:
+        if not isinstance(x, Real):
+            x = from_rational(x)
+        counts[x] = counts.get(x, 0) + 1
+    exact, rest = [], []
+    for x, c in counts.items():
+        if x._exact is None:
+            rest.append((x, c))
+        else:
+            exact.append((x._exact, c))
+    return counts, exact, rest
+
+
+def _sum_of_multiples(pairs):
+    """The sum of c*q over the (q, c) pairs, of which there is at least one.
+
+    When every q has one denominator, as readings at one precision of
+    square roots do, the numerators are added as integers and normalised
+    once.  Otherwise the multiples are added as Rationals, which skips
+    normalising when two denominators are coprime.
+    """
+    if len(pairs) == 1:
+        q, c = pairs[0]
+        return q if c == 1 else c * q
+    den = pairs[0][0].denominator
+    for q, _ in pairs:
+        if q.denominator != den:
+            parts = [q if c == 1 else c * q for q, c in pairs]
+            return sum(parts[1:], parts[0])
+    return Rational(sum([c * q.numerator for q, c in pairs]), den)
+
+
+def _product_of_powers(pairs, value):
+    """value (None for 1) times the product of q**c over the (q, c) pairs."""
+    for q, c in pairs:
+        if c != 1:
+            q = q ** c
+        value = q if value is None else value * q
+    return value
+
+
+# The compute procedures below read their operands in plain loops: a
+# comprehension is a frame of its own, and every frame on the path of a
+# reading is paid once per nesting level of the expression.
+
+
+def sum_of(terms) -> Real:
+    """x1 + ... + xn, reading every term at n*k.
+
+    n counts every occurrence, exact terms too, so the n readings are each
+    within 1/(nk) and their sum is within 1/k.  The exact terms are added
+    once, at construction.
+    """
+    counts, exact, rest = _group(terms)
+    n = sum(counts.values())
+    exact = _sum_of_multiples(exact) if exact else None
+    if not rest:
+        return Real(None, Rational(0) if exact is None else exact)
+
+    def compute(k):
+        m = n * k
+        readings = []
+        for x, c in rest:
+            readings.append((x.approx(m), c))
+        value = _sum_of_multiples(readings)
+        return value if exact is None else value + exact
+
+    return Real(compute)
+
+
+def product_of(factors) -> Real:
+    """x1 * ... * xn, reading every factor at n*k*L^(n-1).
+
+    L is the largest `bound()` of the factors, so every value and every
+    reading is at most L in magnitude, and the error telescopes:
+    |prod xi - prod ai| <= sum_i L^(n-1)*|xi - ai| <= n*L^(n-1)/(n*k*L^(n-1)).
+    The bounds are taken once, on the first `approx`.  The exact factors are
+    multiplied once, at construction.
+    """
+    counts, exact, rest = _group(factors)
+    n = sum(counts.values())
+    exact = _product_of_powers(exact, None)
+    if not rest:
+        return Real(None, Rational(1) if exact is None else exact)
+    scale = None
+
+    def compute(k):
+        nonlocal scale
+        if scale is None:
+            bound = 0
+            for x in counts:
+                bound = max(bound, x.bound())
+            scale = n * bound ** (n - 1)
+        m = scale * k
+        readings = []
+        for x, c in rest:
+            readings.append((x.approx(m), c))
+        return _product_of_powers(readings, exact)
 
     return Real(compute)
 
@@ -371,14 +469,19 @@ def reciprocal(x: Real, witness: ApartnessWitness) -> Real:
     return Real(compute, exact)
 
 
-def divide(x: Real, y: Real, sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
-    """x / y, after separating y from zero within sep_budget."""
+def invert(y: Real, sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
+    """1 / y, after separating y from zero within sep_budget."""
     witness = find_apartness(y, sep_budget)
     if witness is NOT_SEPARATED:
         raise DivisionNotSeparated(
             f"denominator within 3/{sep_budget} of zero; "
             "its inverse cannot be bounded at this budget")
-    return x * reciprocal(y, witness)
+    return reciprocal(y, witness)
+
+
+def divide(x: Real, y: Real, sep_budget: int = DEFAULT_SEPARATION_BUDGET) -> Real:
+    """x / y, after separating y from zero within sep_budget."""
+    return x * invert(y, sep_budget)
 
 
 def _certificate_at(x: Real, y: Real, k: int) -> Optional[GapCertificate]:

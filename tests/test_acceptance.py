@@ -242,3 +242,21 @@ def test_criterion_11_sqrt2_three_thousand_digits(capsys):
         assert printed.startswith("1.") and len(printed) == 3002
         oracle = math.isqrt(2 * 10 ** 6000)  # floor(sqrt2 * 10^3000), independent
         assert abs(int(printed.replace(".", "")) - oracle) <= 1
+
+
+def test_criterion_12_long_chains_of_roots(capsys):
+    # the first 100 non-squares: their product is sqrt(P), P the product
+    radicands = [n for n in range(2, 200) if math.isqrt(n) ** 2 != n][:100]
+    product = math.prod(radicands)
+    with criterion(12, "product of 100 distinct roots --digits 10", limit_seconds=2):
+        code, out, _ = cli(capsys, "eval", "*".join(f"sqrt({n})" for n in radicands),
+                           "--digits", "10")
+        assert code == 0
+        oracle = math.isqrt(product * 10 ** 20)  # floor(sqrt(P) * 10^10)
+        assert abs(int(out.strip().replace(".", "")) - oracle) <= 1
+    with criterion(12, "sum of 2000 sqrt(2) --digits 10", limit_seconds=2):
+        code, out, _ = cli(capsys, "eval", "+".join(["sqrt(2)"] * 2000), "--digits", "10")
+        assert code == 0
+        oracle = math.isqrt(2000 ** 2 * 2 * 10 ** 20)  # floor(2000*sqrt(2) * 10^10)
+        # the last line: the verdict line of the product precedes it
+        assert abs(int(out.splitlines()[-1].replace(".", "")) - oracle) <= 1

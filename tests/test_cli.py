@@ -1,21 +1,35 @@
 """Command-line surface: commands, output channels, exit codes."""
 
 import argparse
+import contextlib
+import io
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchyreals.cli import MAX_DIGITS, MAX_K, build_parser, main
 from cauchyreals.expr import MAX_DEPTH
 
-from support import digits_to_int
+from support import DivisorMeetsZero, digits_to_int, tree_reference
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """`run` without the capsys fixture, which hypothesis tests cannot take."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEvalCommand:
@@ -225,6 +239,137 @@ class TestNestingCap:
         code, out, err = run(capsys, "eval", "(" + src + ")")
         assert (code, out) == (2, "")
         assert f"(at offset {src.index('sqrt') + 1})" in err
+
+    def test_quotient_of_root_of_sum_at_the_cap_runs(self, capsys):
+        # Each level builds a product, a reciprocal, a root and a sum, and a
+        # reading passes through two frames of each: eight per level.
+        src = "1/sqrt(1+" * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+        code, out, _ = run(capsys, "eval", src, "--digits", "10")
+        assert code == 0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            value = Decimal(1)
+            for _ in range(MAX_DEPTH):
+                value = 1 / (1 + value).sqrt()
+            assert abs(Decimal(out.strip()) - value) <= Decimal(10) ** -10 + Decimal(10) ** -40
+
+
+def within_ulp(out, value, digits):
+    """The printed decimal is within 10^-digits of the exact value."""
+    return abs(Fraction(out.strip()) - value) <= Fraction(1, 10 ** digits)
+
+
+class TestLongChains:
+    """Chains far longer than the nesting cap print digits: they are
+    evaluated flat, without recursion."""
+
+    def test_sum_of_2000_literals(self, capsys):
+        rng = random.Random(2000)
+        terms = [Fraction(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(2000)]
+        src = "+".join(f"{q.numerator}/{q.denominator}" for q in terms)
+        code, out, _ = run(capsys, "eval", src, "--digits", "10")
+        assert code == 0 and within_ulp(out, sum(terms), 10)
+
+    def test_difference_of_2000_terms(self, capsys):
+        rng = random.Random(2001)
+        terms = [rng.randint(1, 99) for _ in range(2000)]
+        code, out, _ = run(capsys, "eval", " - ".join(map(str, terms)), "--digits", "10")
+        assert code == 0 and within_ulp(out, terms[0] - sum(terms[1:]), 10)
+
+    def test_2000_divisions(self, capsys):
+        code, out, _ = run(capsys, "eval", "1" + " / 2" * 2000, "--digits", "610")
+        assert code == 0 and within_ulp(out, Fraction(1, 2 ** 2000), 610)
+        assert out.strip() != "0." + "0" * 610
+
+    def test_product_of_1000_literals(self, capsys):
+        rng = random.Random(1000)
+        factors = [rng.randint(1, 9) for _ in range(1000)]
+        product = 1
+        for f in factors:
+            product *= f
+        code, out, _ = run(capsys, "eval", "*".join(map(str, factors)), "--digits", "3")
+        assert code == 0 and within_ulp(out, product, 3)
+
+
+# -- random expression trees against an independent evaluator -----------------
+
+SEP_BUDGET = 2 ** 20
+leaves = st.one_of(
+    st.fractions(min_value=0, max_value=99, max_denominator=99).map(lambda q: ("lit", q)),
+    st.fractions(min_value=Fraction(1, 99), max_value=99,
+                 max_denominator=99).map(lambda q: ("sqrt", q)))
+
+
+@st.composite
+def chains(draw, pool, max_size):
+    kind = draw(st.sampled_from("+*"))
+    ops = "+-" if kind == "+" else "*/"
+    items = draw(st.lists(st.tuples(st.sampled_from(ops), st.sampled_from(pool)),
+                          min_size=1, max_size=max_size))
+    return ("chain", kind, [(kind, items[0][1])] + items[1:])
+
+
+@st.composite
+def trees(draw):
+    """Chains over a small pool of leaves and shorter chains, so that
+    subtrees repeat; the top chain has up to 30 operands."""
+    pool = draw(st.lists(leaves, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        pool.append(draw(chains(pool, 6)))
+    return draw(chains(pool, 30))
+
+
+def render(tree):
+    tag = tree[0]
+    if tag == "chain":
+        _, kind, items = tree
+        text = render(items[0][1]) + "".join(f" {op} {render(sub)}" for op, sub in items[1:])
+        return f"({text})"
+    q = tree[1]
+    text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return f"sqrt({text})" if tag == "sqrt" else f"({text})"
+
+
+class TestDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(tree=trees())
+    def test_digits_match_the_interval_evaluator(self, tree):
+        code, out, err = run_captured("eval", render(tree), "--digits", "20")
+        try:
+            lo, hi, divisors = tree_reference(tree)
+        except DivisorMeetsZero:
+            # a divisor within 10^-25 of zero cannot be separated at 2^20
+            assert (code, out) == (3, ""), err
+            return
+        # a divisor at least 2/budget away from zero always is separated
+        near = any(min(abs(a), abs(b)) < Fraction(2, SEP_BUDGET) for a, b in divisors)
+        assert code == 0 or (near and code == 3), err
+        if code == 0:
+            printed = Fraction(out.strip())
+            slack = Fraction(1, 10 ** 20)
+            assert lo - slack <= printed <= hi + slack
+
+    @pytest.mark.parametrize("src", ["1 / (2/3 - 2/3)", "sqrt(2) / (1 - 1) * 3",
+                                     "1 + 2 / (sqrt(3) * 0)"])
+    def test_division_by_an_exact_zero_exits_3(self, capsys, src):
+        code, out, err = run(capsys, "eval", src)
+        assert (code, out) == (3, "")
+        assert "denominator" in err
+
+
+class TestTotality:
+    @settings(max_examples=150, deadline=None)
+    @given(src=st.text(max_size=40), digits=st.integers(0, 50))
+    def test_eval_ends_in_a_documented_code(self, src, digits):
+        code, _, _ = run_captured("eval", "--digits", str(digits), "--", src)
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.text(max_size=40), b=st.text(max_size=40),
+           k=st.integers(1, 10 ** 30))
+    def test_compare_ends_in_a_documented_code(self, a, b, k):
+        code, _, _ = run_captured("compare", "--k", str(k), "--", a, b)
+        assert code in (0, 2, 3, 4)
 
 
 class TestUsage:

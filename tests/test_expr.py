@@ -29,6 +29,8 @@ from cauchyreals import (
     to_decimal,
 )
 from cauchyreals import Real, find_apartness, from_rational, lub_bisection, sqrt_oracle
+from cauchyreals import expr as expr_module
+from cauchyreals.expr import _tokenize
 
 from support import assert_regular, assert_within, drifting
 
@@ -143,6 +145,67 @@ class TestParseErrors:
             assert 0 <= exc.offset <= len(src)
 
 
+def reference_tokenize(src):
+    """The lexer as it was before it took one regular expression: a loop
+    over characters (`str.isspace`, ASCII digits, `str.isalpha`)."""
+    digits = "0123456789"
+    tokens = []
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c.isspace():
+            i += 1
+            continue
+        start = i
+        if c in digits:
+            while i < n and src[i] in digits:
+                i += 1
+            if i + 1 < n and src[i] in "./" and src[i + 1] in digits:
+                i += 1
+                while i < n and src[i] in digits:
+                    i += 1
+            tokens.append(("number", src[start:i], start))
+        elif c.isalpha():
+            while i < n and src[i].isalpha():
+                i += 1
+            tokens.append(("name", src[start:i], start))
+        elif c in "+-*/(),":
+            tokens.append((c, c, start))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", offset=i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def token_stream(tokenize, src):
+    try:
+        return [tuple(token) for token in tokenize(src)]
+    except ParseError as exc:
+        return (str(exc), exc.offset)
+
+
+class TestLexer:
+    # ASCII digits, operators, letters and spaces, plus a digit of another
+    # script, a superscript, a vulgar fraction, an accented letter, a
+    # control character that is whitespace and an ideographic space
+    ALPHABET = ("0123456789" + "+-*/(),." + "sqrtabminxyz_QW" + " \t\n"
+                + "\u0662\u00b9\u00bd\u00e9\x1c\u3000")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet=ALPHABET, max_size=30))
+    def test_matches_the_character_loop(self, src):
+        assert token_stream(_tokenize, src) == token_stream(reference_tokenize, src)
+
+    @pytest.mark.parametrize("src", [
+        "", "  ", "1/2/3", "1./2", "1.5.5", "sqrt\u00bd", "ab\u00e9cd", "\u00bdab",
+        "x_y", "1\u3000+\x1c2", "12/ 3", "\u0662", "sqrt(2)*abs(1.25)",
+    ])
+    def test_examples_match_the_character_loop(self, src):
+        assert token_stream(_tokenize, src) == token_stream(reference_tokenize, src)
+
+
 class TestEvaluate:
     def test_rational_arithmetic(self):
         x = evaluate("1/2 + 1/3")
@@ -199,6 +262,71 @@ class TestEvaluate:
         x = evaluate("(1 + sqrt(2)) * (sqrt(2) - 1)")
         for k in (10, 100, 1000):
             assert abs(x.approx(k) - 1) <= Fraction(2, k)
+
+
+class TestChains:
+    def test_repeated_subtree_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(x, sep_budget):
+            calls.append(x)
+            return sqrt_real(x, sep_budget)
+
+        monkeypatch.setattr(expr_module, "sqrt_real", counting)
+        x = evaluate("+".join(["sqrt(2)"] * 50))
+        assert len(calls) == 1
+        # 50*sqrt(2) = sqrt(5000): floor(sqrt(5000) * 10^10) by isqrt
+        printed = x.decimal(10)
+        assert abs(int(printed.replace(".", "")) - math.isqrt(5000 * 10 ** 20)) <= 1
+
+    def test_repeated_chains_are_shared(self, monkeypatch):
+        calls = []
+
+        def counting(x, sep_budget):
+            calls.append(x)
+            return sqrt_real(x, sep_budget)
+
+        monkeypatch.setattr(expr_module, "sqrt_real", counting)
+        evaluate("sqrt(1 + 2*sqrt(3)) - sqrt(1 + 2*sqrt(3)) * (1 + 2*sqrt(3))")
+        # sqrt(3) once, then sqrt(1 + 2*sqrt(3)) once
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("src,error", [
+        ("1/(sqrt(2)-sqrt(2)) + sqrt(0-1)", DivisionNotSeparated),
+        ("sqrt(0-1) + 1/(sqrt(2)-sqrt(2))", NegativeRadicand),
+        ("2 * 3/(1/3-1/3) * sqrt(0-1)", DivisionNotSeparated),
+        ("2 * sqrt(0-1) / (1/3-1/3)", NegativeRadicand),
+        ("1/(1-1) / sqrt(0-1)", DivisionNotSeparated),
+    ])
+    def test_errors_come_left_to_right(self, src, error):
+        with pytest.raises(error):
+            evaluate(src)
+
+    def test_division_message_is_the_one_of_divide(self):
+        from cauchyreals import divide
+        with pytest.raises(DivisionNotSeparated) as chain:
+            evaluate("1/2 * 3 / (sqrt(2) - sqrt(2)) * 5", sep_budget=64)
+        with pytest.raises(DivisionNotSeparated) as binary:
+            divide(from_rational(1), evaluate("sqrt(2) - sqrt(2)"), 64)
+        assert str(chain.value) == str(binary.value)
+
+    @pytest.mark.parametrize("src,value", [
+        ("1 - 2 + 3 - 4 + 5", 3),
+        ("2 - (3 - 4) - -5", 8),
+        ("1/2 * 3 / 4 * 5 / 6", Fraction(5, 16)),
+        ("2 / (3 / 4) / (5 * 6)", Fraction(4, 45)),
+        ("(1 + 2) * 3 - 4 / 2 * (5 - 1)", 1),
+        ("3 * 0 * 5", 0),
+        ("1/2 - 1/2 + 1/3 - 1/3", 0),
+    ])
+    def test_exact_chains(self, src, value):
+        assert evaluate(src).exact_value() == value
+
+    def test_mixed_chain_digits(self):
+        # (sqrt(2) + sqrt(2) - sqrt(8)/2) * sqrt(2) / 2 * 3 = 3
+        x = evaluate("(sqrt(2) + sqrt(2) - sqrt(8)/2) * sqrt(2) / 2 * 3")
+        assert abs(x.approx(10 ** 12) - 3) <= Fraction(2, 10 ** 12)
+        assert_regular(x)
 
 
 class TestPrintedAccuracy:

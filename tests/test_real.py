@@ -36,7 +36,7 @@ from cauchyreals import (
     separate,
     sqrt_oracle,
 )
-
+from cauchyreals.real import product_of, sum_of
 from support import LADDER, assert_regular, assert_within, drifting, geometric_to_two, harmonic_to_zero
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4)
@@ -210,6 +210,104 @@ class TestMul:
         for k in (1, 10, 100):
             m = 2 * scale * k
             assert p.approx(k) == x.approx(m) * y.approx(m)
+
+
+def recording(q, asked):
+    """q + (-1)^n/n through from_sequence, appending to `asked` every
+    precision k it computes (from_sequence reads its modulus at 2k)."""
+
+    def modulus(j):
+        asked.append(j // 2)
+        return 2 * j
+
+    return from_sequence(lambda n: q + Fraction((-1) ** n, n), modulus)
+
+
+class TestSumOf:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_each_term_is_read_at_n_k(self, n):
+        logs = [[] for _ in range(n)]
+        terms = [recording(Fraction(i - 3, i + 2), log) for i, log in enumerate(logs)]
+        s = sum_of(terms)
+        for k in (1, 3, 10, 97):
+            value = s.approx(k)
+            assert logs == [[n * k]] * n
+            assert value == sum(x.approx(n * k) for x in terms)
+            for log in logs:
+                log.clear()
+
+    def test_exact_terms_count_and_are_folded(self):
+        asked = []
+        x = recording(Fraction(9, 4), asked)
+        s = sum_of([Fraction(1, 3), x, 2, Fraction(1, 6)])
+        assert s.approx(5) == x.approx(20) + Fraction(5, 2)
+        assert asked == [20]
+        assert sum_of([Fraction(1, 3), 2, Fraction(1, 6)]).exact_value() == Fraction(5, 2)
+
+    def test_a_repeated_term_is_read_once(self):
+        asked_x, asked_y = [], []
+        x, y = recording(Fraction(1, 2), asked_x), recording(Fraction(2, 3), asked_y)
+        s = sum_of([x, y, x, x])
+        assert s.approx(10) == 3 * x.approx(40) + y.approx(40)
+        assert (asked_x, asked_y) == ([40], [40])
+
+    @given(qs=st.lists(rationals, min_size=1, max_size=12))
+    @settings(max_examples=50, deadline=None)
+    def test_within_one_over_k(self, qs):
+        s = sum_of([drifting(q) for q in qs])
+        assert_within(s, sum(qs), (1, 7, 100, 12345))
+
+
+class TestProductOf:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_each_factor_is_read_at_n_k_l_power(self, n):
+        logs = [[] for _ in range(n)]
+        factors = [recording(Fraction(3 * i - 5, 2), log) for i, log in enumerate(logs)]
+        scale = max(x.bound() for x in factors)
+        for log in logs:
+            log.clear()
+        p = product_of(factors)
+        # (k = 1 with n = 1 asks for precision 1, which bound() has read)
+        for k in (2, 3, 10, 97):
+            value = p.approx(k)
+            m = n * k * scale ** (n - 1)
+            assert logs == [[m]] * n
+            expected = 1
+            for x in factors:
+                expected *= x.approx(m)
+            assert value == expected
+            for log in logs:
+                log.clear()
+
+    def test_bounds_are_taken_once_on_the_first_approx(self):
+        asked = []
+        x = recording(Fraction(7, 2), asked)
+        p = product_of([x, x, Fraction(1, 2)])
+        assert asked == []
+        p.approx(1)
+        assert asked[0] == 1
+        asked.clear()
+        p.approx(2)
+        assert asked == [3 * 2 * x.bound() ** 2]
+
+    def test_exact_factors_count_and_are_folded(self):
+        asked = []
+        x = recording(Fraction(1, 2), asked)
+        p = product_of([3, x, Fraction(1, 3)])
+        # L = max(bound(3), bound(x), bound(1/3)) = 5
+        assert p.approx(7) == x.approx(3 * 7 * 25)
+        assert product_of([3, Fraction(1, 3), 5]).exact_value() == 5
+        assert product_of([3, 0, 5]).exact_value() == 0
+        assert product_of([x, 0]).approx(9) == 0
+
+    @given(qs=st.lists(rationals, min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_within_one_over_k(self, qs):
+        p = product_of([drifting(q) for q in qs])
+        expected = 1
+        for q in qs:
+            expected *= q
+        assert_within(p, expected, (1, 7, 100, 12345))
 
 
 class TestFindApartness:
