@@ -5,7 +5,8 @@ of the expression lies within 10^-N of the printed number.  Results go to
 stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 2 parse error, 3 evaluation error (failed separation,
-negative radicand, invalid operand), 4 budget exhausted.
+negative radicand, invalid operand), 4 budget exhausted (the Python stack
+included).
 
 Precision requests are capped: --digits at MAX_DIGITS and --k at MAX_K.  A
 request beyond a cap raises BudgetExceeded (exit 4) instead of running for
@@ -196,6 +197,12 @@ def main(argv=None):
         return 2
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 4
+    except RecursionError:
+        # a reading descends the expression through a few frames per node,
+        # so an expression inside the nesting cap can still be too deep
+        print("budget exceeded: evaluation nested deeper than the Python "
+              "stack allows", file=sys.stderr)
         return 4
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from operator import neg
 from typing import NamedTuple, Union
 
 from .errors import NegativeRadicand, ParseError
-from .rational import Rational, int_from_digits
+from .rational import Rational, rational_from_digits
 from .real import (DEFAULT_SEPARATION_BUDGET, NOT_SEPARATED, Real, Verdict,
                    ZERO, find_apartness, from_rational, invert, maximum,
                    minimum, product_of, separate, sum_of)
@@ -116,7 +116,6 @@ class Max:
 Expr = Union[RationalLit, Neg, Abs, Sqrt, Add, Sub, Mul, Div, Min, Max]
 
 _FUNCTIONS = {"sqrt": Sqrt, "abs": Abs, "min": Min, "max": Max}
-_UNARY = {"sqrt", "abs"}
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -160,18 +159,13 @@ def _tokenize(src):
 
 
 def _literal_value(token):
-    text = token.text
-    if "/" in text:
-        num, den = text.split("/")
-        den = int_from_digits(den)
-        if den == 0:
-            raise ParseError("zero denominator in rational literal",
-                             offset=token.offset)
-        return Rational(int_from_digits(num), den)
-    if "." in text:
-        whole, frac = text.split(".")
-        return Rational(int_from_digits(whole + frac), 10 ** len(frac))
-    return Rational(int_from_digits(text))
+    whole, _, den = token.text.partition("/")
+    whole, _, frac = whole.partition(".")
+    try:
+        return rational_from_digits(whole, frac, den)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator in rational literal",
+                         offset=token.offset) from None
 
 
 # -- parser -------------------------------------------------------------------
@@ -181,96 +175,84 @@ _FACTOR_EXPECTED = ("number", "'('", "'-'", "function name")
 MAX_DEPTH = 100
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind, expected):
-        token = self.peek()
-        if token.kind != kind:
-            got = repr(token.text) if token.kind != "end" else "end of input"
-            raise ParseError(f"expected {' or '.join(expected)}, got {got}",
-                             offset=token.offset, expected=expected)
-        return self.advance()
-
-    def nested(self, rule, opener):
-        """Run the parse method `rule` one nesting level deeper."""
-        if self.depth == MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
-                             offset=opener.offset)
-        self.depth += 1
-        node = rule()
-        self.depth -= 1
-        return node
-
-    def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            right = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            right = self.parse_factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
-
-    def parse_factor(self):
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return RationalLit(_literal_value(token))
-        if token.kind == "(":
-            self.advance()
-            node = self.nested(self.parse_expr, token)
-            self.expect(")", ("')'",))
-            return node
-        if token.kind == "-":
-            self.advance()
-            return Neg(self.nested(self.parse_factor, token))
-        if token.kind == "name":
-            return self.nested(self.parse_call, token)
-        got = repr(token.text) if token.kind != "end" else "end of input"
-        raise ParseError(f"expected {' or '.join(_FACTOR_EXPECTED)}, got {got}",
-                         offset=token.offset, expected=_FACTOR_EXPECTED)
-
-    def parse_call(self):
-        name_token = self.advance()
-        name = name_token.text
-        if name not in _FUNCTIONS:
-            raise ParseError(f"unknown function {name!r}",
-                             offset=name_token.offset,
-                             expected=tuple(sorted(_FUNCTIONS)))
-        self.expect("(", ("'('",))
-        first = self.parse_expr()
-        if name in _UNARY:
-            self.expect(")", ("')'",))
-            return _FUNCTIONS[name](first)
-        self.expect(",", ("','",))
-        second = self.parse_expr()
-        self.expect(")", ("')'",))
-        return _FUNCTIONS[name](first, second)
+def _unexpected(token, expected):
+    got = repr(token.text) if token.kind != "end" else "end of input"
+    return ParseError(f"expected {' or '.join(expected)}, got {got}",
+                      offset=token.offset, expected=expected)
 
 
 def parse(src: str) -> Expr:
     """Parse a source string into an Expr, or raise a positioned ParseError."""
-    parser = _Parser(_tokenize(src))
-    node = parser.parse_expr()
-    trailing = parser.peek()
+    tokens = _tokenize(src)
+    pos = 0
+
+    def expect(kind, expected):
+        nonlocal pos
+        if tokens[pos].kind != kind:
+            raise _unexpected(tokens[pos], expected)
+        pos += 1
+
+    def expr(depth):
+        nonlocal pos
+        node = term(depth)
+        while tokens[pos].kind in ("+", "-"):
+            op = tokens[pos].kind
+            pos += 1
+            right = term(depth)
+            node = Add(node, right) if op == "+" else Sub(node, right)
+        return node
+
+    def term(depth):
+        nonlocal pos
+        node = factor(depth)
+        while tokens[pos].kind in ("*", "/"):
+            op = tokens[pos].kind
+            pos += 1
+            right = factor(depth)
+            node = Mul(node, right) if op == "*" else Div(node, right)
+        return node
+
+    def factor(depth):
+        """A factor at nesting level depth; '(', '-' and a function name
+        each open one more level."""
+        nonlocal pos
+        token = tokens[pos]
+        kind = token.kind
+        if kind == "number":
+            pos += 1
+            return RationalLit(_literal_value(token))
+        if kind not in ("(", "-", "name"):
+            raise _unexpected(token, _FACTOR_EXPECTED)
+        if depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             offset=token.offset)
+        pos += 1
+        if kind == "-":
+            return Neg(factor(depth + 1))
+        if kind == "(":
+            node = expr(depth + 1)
+            expect(")", ("')'",))
+            return node
+        make = _FUNCTIONS.get(token.text)
+        if make is None:
+            raise ParseError(f"unknown function {token.text!r}",
+                             offset=token.offset,
+                             expected=tuple(sorted(_FUNCTIONS)))
+        expect("(", ("'('",))
+        args = [expr(depth + 1)]
+        if make is Min or make is Max:
+            expect(",", ("','",))
+            args.append(expr(depth + 1))
+        expect(")", ("')'",))
+        return make(*args)
+
+    try:
+        node = expr(0)
+    finally:
+        # The rules reach each other through their closures, a reference
+        # cycle that would keep the tokens alive until a full collection.
+        del expr, term, factor
+    trailing = tokens[pos]
     if trailing.kind != "end":
         raise ParseError(f"unexpected trailing input {trailing.text!r}",
                          offset=trailing.offset,

@@ -14,9 +14,8 @@ values within 1/k.  Everything here is modulus composition:
 There is one scan per (f, k): it records min, argmin, max and argmax, is
 cached on the UCFunction, and all four functions read it.  Grid scans are
 linear in the grid size, which grows with both the interval length and the
-requested precision; a configurable point cap (default 10^6) turns runaway
-requests into BudgetExceeded, for a cached scan as for a fresh one.
-Desk-scale precision only.
+requested precision; a grid of more than GRID_LIMIT (10^6) points raises
+BudgetExceeded instead of being built.  Desk-scale precision only.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Callable, Optional
 
 from .errors import BudgetExceeded, DomainError, OutOfDomain
 from .rational import Rational
-from .real import Real, as_real
+from .real import Real, _check_positive, as_real
 
 __all__ = [
     "RationalDomain",
@@ -40,22 +39,10 @@ __all__ = [
     "supremum",
     "eps_minimizer",
     "eps_maximizer",
-    "DEFAULT_GRID_LIMIT",
+    "GRID_LIMIT",
 ]
 
-DEFAULT_GRID_LIMIT = 10 ** 6
-
-
-def _check_grid_size(points: int, limit: int):
-    if points > limit:
-        raise BudgetExceeded(
-            f"grid of {points} points exceeds the cap of {limit}")
-
-
-def _check_index(n, what):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{what} must be a positive integer, got {n!r}")
-    return n
+GRID_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -86,21 +73,20 @@ class RationalDomain:
             return False
         return self.membership is None or bool(self.membership(q))
 
-    def _segments(self, mesh: int) -> int:
-        """Number of equal segments of length at most 1/mesh covering [lo, hi]."""
+    def grid(self, mesh: int):
+        _check_positive(mesh, "mesh")
+        # the fewest equal segments of length at most 1/mesh: ceil(span*mesh)
         span = self.hi - self.lo
-        return -(-(span.numerator * mesh) // span.denominator)  # ceil(span*mesh)
-
-    def grid(self, mesh: int, limit: int = DEFAULT_GRID_LIMIT):
-        _check_index(mesh, "mesh")
-        segments = self._segments(mesh)
-        _check_grid_size(segments + 1, limit)
+        segments = -(-(span.numerator * mesh) // span.denominator)
+        if segments + 1 > GRID_LIMIT:
+            raise BudgetExceeded(
+                f"grid of {segments + 1} points exceeds the cap of {GRID_LIMIT}")
         if segments == 0:
             points = [self.lo]
         else:
             # lo + j*step, built over one common denominator so that each
             # point costs one normalisation.
-            step = (self.hi - self.lo) / segments
+            step = span / segments
             den = math.lcm(self.lo.denominator, step.denominator)
             base = self.lo.numerator * (den // self.lo.denominator)
             inc = step.numerator * (den // step.denominator)
@@ -131,11 +117,11 @@ class UCFunction:
         self._fn = fn
         self._modulus = modulus
         self._memo = {}
-        self._scans = {}  # precision k -> (_Scan, grid point count)
+        self._scans = {}  # precision k -> _Scan
         self._memo_lock = threading.Lock()
 
     def modulus(self, k: int) -> int:
-        return _check_index(self._modulus(k), "modulus value")
+        return _check_positive(self._modulus(k), "modulus value")
 
     def eval(self, q) -> Real:
         q = Rational(q)
@@ -171,7 +157,7 @@ def close_to_witness(domain: RationalDomain, x: Real) -> ClosenessWitness:
     """
 
     def select(k):
-        _check_index(k, "precision index")
+        _check_positive(k, "precision index")
         a = x.approx(2 * k)
         slack = Rational(3, 2 * k)
         if a > domain.hi + slack or a < domain.lo - slack:
@@ -213,7 +199,7 @@ class _Scan:
     argmax: Rational
 
 
-def _grid_scan(f: UCFunction, k: int, grid_limit: int) -> _Scan:
+def _grid_scan(f: UCFunction, k: int) -> _Scan:
     """Evaluate f on the mesh-1/modulus(3k) grid at value precision 3k.
 
     Any domain point has a grid point within 1/modulus(3k), whose value is
@@ -222,14 +208,12 @@ def _grid_scan(f: UCFunction, k: int, grid_limit: int) -> _Scan:
     infimum/supremum.  Ties go to the leftmost point, deterministically.
 
     The scan is cached on f per k, so infimum, supremum and the eps_*
-    functions share it; a cached scan is still refused when its grid has
-    more points than grid_limit allows.
+    functions share it.
     """
     with f._memo_lock:
-        cached = f._scans.get(k)
-    if cached is None:
-        mesh = f.modulus(3 * k)
-        points = f.domain.grid(mesh, grid_limit)
+        scan = f._scans.get(k)
+    if scan is None:
+        points = f.domain.grid(f.modulus(3 * k))
         with f._memo_lock:
             memo = f._memo
             values = []
@@ -247,27 +231,23 @@ def _grid_scan(f: UCFunction, k: int, grid_limit: int) -> _Scan:
                 min_value, argmin = v, g
             elif v > max_value:
                 max_value, argmax = v, g
-        cached = (_Scan(min_value, argmin, max_value, argmax),
-                  f.domain._segments(mesh) + 1)
+        scan = _Scan(min_value, argmin, max_value, argmax)
         with f._memo_lock:
-            cached = f._scans.setdefault(k, cached)
-    scan, size = cached
-    _check_grid_size(size, grid_limit)
+            scan = f._scans.setdefault(k, scan)
     return scan
 
 
-def infimum(f: UCFunction, grid_limit: int = DEFAULT_GRID_LIMIT) -> Real:
+def infimum(f: UCFunction) -> Real:
     """Greatest lower bound of f over its domain, as a Real."""
-    return Real(lambda k: _grid_scan(f, k, grid_limit).min_value)
+    return Real(lambda k: _grid_scan(f, k).min_value)
 
 
-def supremum(f: UCFunction, grid_limit: int = DEFAULT_GRID_LIMIT) -> Real:
+def supremum(f: UCFunction) -> Real:
     """Least upper bound of f over its domain, as a Real."""
-    return Real(lambda k: _grid_scan(f, k, grid_limit).max_value)
+    return Real(lambda k: _grid_scan(f, k).max_value)
 
 
-def eps_minimizer(f: UCFunction, k: int,
-                  grid_limit: int = DEFAULT_GRID_LIMIT) -> Rational:
+def eps_minimizer(f: UCFunction, k: int) -> Rational:
     """Domain point whose value is within 1/k of the infimum.
 
     Returns the argmin of the same scan that infimum(f).approx(3k) performs,
@@ -275,12 +255,11 @@ def eps_minimizer(f: UCFunction, k: int,
     f.eval(q).approx(3k) <= infimum.approx(3k) + 1/(3k) holds by
     construction, and unwinding the scan error gives f(q) <= inf + 1/(3k).
     """
-    _check_index(k, "precision index")
-    return _grid_scan(f, 3 * k, grid_limit).argmin
+    _check_positive(k, "precision index")
+    return _grid_scan(f, 3 * k).argmin
 
 
-def eps_maximizer(f: UCFunction, k: int,
-                  grid_limit: int = DEFAULT_GRID_LIMIT) -> Rational:
+def eps_maximizer(f: UCFunction, k: int) -> Rational:
     """Domain point whose value is within 1/k of the supremum."""
-    _check_index(k, "precision index")
-    return _grid_scan(f, 3 * k, grid_limit).argmax
+    _check_positive(k, "precision index")
+    return _grid_scan(f, 3 * k).argmax

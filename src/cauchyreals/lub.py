@@ -29,7 +29,7 @@ from typing import Callable, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError
 from .rational import Rational
-from .real import Real, Verdict, as_real, separate
+from .real import Real, Verdict, _check_positive, as_real, separate
 
 __all__ = [
     "UpperBoundOracle",
@@ -260,8 +260,7 @@ def finite_set_oracle(elements: Sequence, k_tol: int) -> UpperBoundOracle:
     reals = [as_real(b) for b in elements]
     if not reals:
         raise DomainError("finite_set_oracle needs a nonempty element list")
-    if not isinstance(k_tol, int) or k_tol < 1:
-        raise ValueError("k_tol must be a positive integer")
+    _check_positive(k_tol, "k_tol")
 
     def query(q):
         bound = as_real(q)

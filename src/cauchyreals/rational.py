@@ -17,6 +17,7 @@ __all__ = [
     "Rational",
     "int_from_digits",
     "parse_rational",
+    "rational_from_digits",
     "to_decimal",
 ]
 
@@ -35,16 +36,24 @@ def parse_rational(text):
         raise ParseError(f"invalid rational literal {text!r}", offset=0,
                          expected=("rational literal",))
     sign, whole, frac, den = m.groups()
-    if den is not None:
-        den = int_from_digits(den)
-        if den == 0:
-            raise DomainError(f"zero denominator in {text!r}")
-        value = Rational(int_from_digits(whole), den)
-    elif frac is not None:
-        value = Rational(int_from_digits(whole + frac), 10 ** len(frac))
-    else:
-        value = Rational(int_from_digits(whole))
+    try:
+        value = rational_from_digits(whole, frac, den)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {text!r}") from None
     return -value if sign else value
+
+
+def rational_from_digits(whole, frac, den):
+    """The value of the literal whole, whole.frac or whole/den.
+
+    Each part is a string of ASCII digits; frac and den are None or empty
+    when absent.  A zero den raises ZeroDivisionError.
+    """
+    if den:
+        return Rational(int_from_digits(whole), int_from_digits(den))
+    if frac:
+        return Rational(int_from_digits(whole + frac), 10 ** len(frac))
+    return Rational(int_from_digits(whole))
 
 
 def _round_half_away(x):

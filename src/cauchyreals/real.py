@@ -61,10 +61,11 @@ DEFAULT_SEPARATION_BUDGET = 2 ** 20
 RationalLike = Union[Rational, int]
 
 
-def _check_precision(k):
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"precision index must be a positive integer, got {k!r}")
-    return k
+def _check_positive(n, what):
+    """n, if it is an int >= 1 (bool is refused); else ValueError."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
+    return n
 
 
 class Real:
@@ -93,7 +94,7 @@ class Real:
     def approx(self, k: int) -> Rational:
         """Rational within 1/k of this number; deterministic per k."""
         if type(k) is not int or k < 1:
-            _check_precision(k)
+            _check_positive(k, "precision index")
         if self._exact is not None:
             return self._exact
         with self._lock:
@@ -198,10 +199,7 @@ def from_sequence(seq: Callable[[int], Rational],
     """
 
     def compute(k):
-        n0 = modulus(2 * k)
-        if not isinstance(n0, int) or n0 < 1:
-            raise ValueError(f"modulus must return a positive index, got {n0!r}")
-        return Rational(seq(n0))
+        return Rational(seq(_check_positive(modulus(2 * k), "modulus value")))
 
     return Real(compute)
 
@@ -232,20 +230,19 @@ def _group(operands):
 def _sum_of_multiples(pairs):
     """The sum of c*q over the (q, c) pairs, of which there is at least one.
 
-    When every q has one denominator, as readings at one precision of
-    square roots do, the numerators are added as integers and normalised
-    once.  Otherwise the multiples are added as Rationals, which skips
-    normalising when two denominators are coprime.
+    The numerators are summed per distinct denominator (readings at one
+    precision of square roots share one), then over the lcm of those
+    denominators, and the sum is normalised once.
     """
     if len(pairs) == 1:
         q, c = pairs[0]
         return q if c == 1 else c * q
-    den = pairs[0][0].denominator
-    for q, _ in pairs:
-        if q.denominator != den:
-            parts = [q if c == 1 else c * q for q, c in pairs]
-            return sum(parts[1:], parts[0])
-    return Rational(sum([c * q.numerator for q, c in pairs]), den)
+    sums = {}
+    for q, c in pairs:
+        den = q.denominator
+        sums[den] = sums.get(den, 0) + c * q.numerator
+    den = math.lcm(*sums)
+    return Rational(sum([num * (den // d) for d, num in sums.items()]), den)
 
 
 def _product_of_powers(pairs, value):
@@ -337,7 +334,7 @@ def separate(x: Real, y: Real, k: int) -> Verdict:
       d < -1/(2k)  ->  GREATER  (certifies y < x)
       otherwise    ->  CLOSE    (certifies |x - y| <= 1/k; says nothing about equality)
     """
-    _check_precision(k)
+    _check_positive(k, "precision index")
     d = y.approx(4 * k) - x.approx(4 * k)
     half = Rational(1, 2 * k)
     if d > half:
@@ -402,8 +399,7 @@ INDISTINGUISHABLE = _Indistinguishable()
 def _budget_ladder(budget):
     """1, 2, 4, ... ending exactly at budget, so the final probe is at the
     advertised tolerance even when budget is not a power of two."""
-    if not isinstance(budget, int) or budget < 1:
-        raise ValueError(f"budget must be a positive integer, got {budget!r}")
+    _check_positive(budget, "budget")
     k = 1
     while k < budget:
         yield k

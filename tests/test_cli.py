@@ -253,6 +253,14 @@ class TestNestingCap:
                 value = 1 / (1 + value).sqrt()
             assert abs(Decimal(out.strip()) - value) <= Decimal(10) ** -10 + Decimal(10) ** -40
 
+    def test_too_deep_to_read_is_budget_exit(self, capsys):
+        # Inside the cap, but each level of this shape costs a reading more
+        # frames than the Python stack holds at this depth.
+        src = "2-1/sqrt(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH
+        code, out, err = run(capsys, "eval", src)
+        assert (code, out) == (4, "")
+        assert err.startswith("budget exceeded: ")
+
 
 def within_ulp(out, value, digits):
     """The printed decimal is within 10^-digits of the exact value."""

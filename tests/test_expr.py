@@ -1,5 +1,6 @@
 """Parser and evaluator: grammar, positioned errors, budget semantics."""
 
+import gc
 import math
 import sys
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchyreals import (
+    Abs,
     Add,
     Div,
     DivisionNotSeparated,
@@ -30,7 +32,8 @@ from cauchyreals import (
 )
 from cauchyreals import Real, find_apartness, from_rational, lub_bisection, sqrt_oracle
 from cauchyreals import expr as expr_module
-from cauchyreals.expr import _tokenize
+from cauchyreals.expr import MAX_DEPTH, _tokenize
+from cauchyreals.rational import int_from_digits
 
 from support import assert_regular, assert_within, drifting
 
@@ -204,6 +207,176 @@ class TestLexer:
     ])
     def test_examples_match_the_character_loop(self, src):
         assert token_stream(_tokenize, src) == token_stream(reference_tokenize, src)
+
+
+def reference_literal_value(token):
+    """`expr._literal_value` as it was before literals had one reader."""
+    text = token.text
+    if "/" in text:
+        num, den = text.split("/")
+        den = int_from_digits(den)
+        if den == 0:
+            raise ParseError("zero denominator in rational literal",
+                             offset=token.offset)
+        return Fraction(int_from_digits(num), den)
+    if "." in text:
+        whole, frac = text.split(".")
+        return Fraction(int_from_digits(whole + frac), 10 ** len(frac))
+    return Fraction(int_from_digits(text))
+
+
+class ReferenceParser:
+    """The parser as it was before it became one function: a class with one
+    method per grammar rule and a nesting counter."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, kind, expected):
+        token = self.peek()
+        if token.kind != kind:
+            got = repr(token.text) if token.kind != "end" else "end of input"
+            raise ParseError(f"expected {' or '.join(expected)}, got {got}",
+                             offset=token.offset, expected=expected)
+        return self.advance()
+
+    def nested(self, rule, opener):
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels",
+                             offset=opener.offset)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance().kind
+            right = self.parse_term()
+            node = Add(node, right) if op == "+" else Sub(node, right)
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek().kind in ("*", "/"):
+            op = self.advance().kind
+            right = self.parse_factor()
+            node = Mul(node, right) if op == "*" else Div(node, right)
+        return node
+
+    def parse_factor(self):
+        token = self.peek()
+        if token.kind == "number":
+            self.advance()
+            return RationalLit(reference_literal_value(token))
+        if token.kind == "(":
+            self.advance()
+            node = self.nested(self.parse_expr, token)
+            self.expect(")", ("')'",))
+            return node
+        if token.kind == "-":
+            self.advance()
+            return Neg(self.nested(self.parse_factor, token))
+        if token.kind == "name":
+            return self.nested(self.parse_call, token)
+        expected = ("number", "'('", "'-'", "function name")
+        got = repr(token.text) if token.kind != "end" else "end of input"
+        raise ParseError(f"expected {' or '.join(expected)}, got {got}",
+                         offset=token.offset, expected=expected)
+
+    def parse_call(self):
+        functions = {"sqrt": Sqrt, "abs": Abs, "min": Min, "max": Max}
+        name_token = self.advance()
+        name = name_token.text
+        if name not in functions:
+            raise ParseError(f"unknown function {name!r}",
+                             offset=name_token.offset,
+                             expected=tuple(sorted(functions)))
+        self.expect("(", ("'('",))
+        first = self.parse_expr()
+        if name in ("sqrt", "abs"):
+            self.expect(")", ("')'",))
+            return functions[name](first)
+        self.expect(",", ("','",))
+        second = self.parse_expr()
+        self.expect(")", ("')'",))
+        return functions[name](first, second)
+
+
+def reference_parse(src):
+    parser = ReferenceParser(_tokenize(src))
+    node = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "end":
+        raise ParseError(f"unexpected trailing input {trailing.text!r}",
+                         offset=trailing.offset,
+                         expected=("'+'", "'-'", "'*'", "'/'", "end of input"))
+    return node
+
+
+def parse_outcome(parse_fn, src):
+    try:
+        return parse_fn(src)
+    except ParseError as exc:
+        return (str(exc), exc.offset, exc.expected)
+
+
+# token-ish pieces: every token kind, names known and unknown, calls and
+# argument lists, literals of each form (zero denominators too), spacing and
+# characters the lexer refuses
+PIECES = ["0", "1", "7", "12", "1/2", "3/0", "0/5", "2.5", "0.0", "10/4",
+          "+", "-", "*", "/", "(", ")", ",", "sqrt", "abs", "min", "max",
+          "sqrt(", "abs(", "min(", "max(", "log(", "1,2)", "3)",
+          "log", "x", " ", "  ", ".", "%", "\u00bd"]
+
+
+class TestParserOracle:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.sampled_from(PIECES), max_size=25).map("".join))
+    def test_matches_the_reference_parser(self, src):
+        assert parse_outcome(parse, src) == parse_outcome(reference_parse, src)
+
+    @pytest.mark.parametrize("src", [
+        "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH,
+        "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1),
+        "(" * 1000 + "1" + ")" * 1000,
+        "-" * MAX_DEPTH + "1",
+        "-" * (MAX_DEPTH + 1) + "1",
+        "sqrt(" * MAX_DEPTH + "2" + ")" * MAX_DEPTH,
+        "sqrt(" * (MAX_DEPTH - 1) + "log(2" + ")" * MAX_DEPTH,
+        "sqrt(" * MAX_DEPTH + "log(2" + ")" * (MAX_DEPTH + 1),
+        "min(" * MAX_DEPTH + "1" + ",2)" * MAX_DEPTH,
+        "+".join(["sqrt(2)"] * 192),
+        # dataclass == recurses, so these chains stay well below 500 nodes
+        "*".join(["1/3"] * 150) + "-" + "/".join(["2.5"] * 150),
+    ], ids=["parens-at-cap", "parens-past-cap", "parens-1000", "minus-at-cap",
+            "minus-past-cap", "sqrt-at-cap", "unknown-at-cap",
+            "unknown-past-cap", "min-at-cap", "sum-of-roots", "chains"])
+    def test_examples_match_the_reference_parser(self, src):
+        assert parse_outcome(parse, src) == parse_outcome(reference_parse, src)
+
+    def test_parsing_leaves_no_reference_cycles(self):
+        # garbage left in cycles would hold every token of the source until
+        # the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            for src in ("+".join(["sqrt(1/3)"] * 50), "(1+", "sqrt(" * 101):
+                parse_outcome(parse, src)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEvaluate:

@@ -93,7 +93,7 @@ class TestRationalDomain:
 
     def test_grid_cap(self):
         with pytest.raises(BudgetExceeded):
-            unit_interval().grid(10 ** 7, limit=10 ** 6)
+            unit_interval().grid(10 ** 7)
 
     def test_membership_thins_grid(self):
         dom = RationalDomain(Fraction(0), Fraction(1),
@@ -304,9 +304,9 @@ class TestSharedScan:
         meshes, calls = [], Counter()
         grid = RationalDomain.grid
 
-        def counting_grid(self, mesh, limit):
+        def counting_grid(self, mesh):
             meshes.append(mesh)
-            return grid(self, mesh, limit)
+            return grid(self, mesh)
 
         def fn(q):
             calls[q] += 1
@@ -327,23 +327,6 @@ class TestSharedScan:
         fine = brute_grid(Fraction(0), Fraction(2), 32 * 9 * k)
         assert set(calls) == set(fine)
         assert max(calls.values()) == 1
-
-    def test_cached_scan_still_honours_a_smaller_grid_limit(self):
-        f = well_fn()
-        k = 2
-        points = len(brute_grid(Fraction(0), Fraction(2), f.modulus(3 * k)))
-        assert infimum(f, grid_limit=points).approx(k) == infimum(f).approx(k)
-        with pytest.raises(BudgetExceeded):
-            infimum(f, grid_limit=points - 1).approx(k)
-        with pytest.raises(BudgetExceeded):
-            supremum(f, grid_limit=points - 1).approx(k)
-        fine = len(brute_grid(Fraction(0), Fraction(2), f.modulus(9 * k)))
-        eps_minimizer(f, k)
-        with pytest.raises(BudgetExceeded):
-            eps_minimizer(f, k, grid_limit=fine - 1)
-        with pytest.raises(BudgetExceeded):
-            eps_maximizer(f, k, grid_limit=fine - 1)
-        assert eps_maximizer(f, k, grid_limit=fine) == 0  # f(0) = f(2), leftmost
 
     @pytest.mark.parametrize("k", [2, 4, 10])
     def test_leftmost_extremizers_win_ties(self, k):

@@ -25,6 +25,7 @@ from cauchyreals import (
     Verdict,
     WitnessInvalid,
     divide,
+    finite_set_oracle,
     find_apartness,
     from_rational,
     from_sequence,
@@ -36,10 +37,14 @@ from cauchyreals import (
     separate,
     sqrt_oracle,
 )
-from cauchyreals.real import product_of, sum_of
+from cauchyreals.extension import (RationalDomain, UCFunction, close_to_witness,
+                                   eps_minimizer)
+from cauchyreals.real import _sum_of_multiples, product_of, sum_of
 from support import LADDER, assert_regular, assert_within, drifting, geometric_to_two, harmonic_to_zero
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10 ** 4)
+counts = st.integers(1, 5)
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 2 ** 61 - 1]
 
 SQRT2 = lub_bisection(sqrt_oracle(2), 2)
 
@@ -256,6 +261,28 @@ class TestSumOf:
     def test_within_one_over_k(self, qs):
         s = sum_of([drifting(q) for q in qs])
         assert_within(s, sum(qs), (1, 7, 100, 12345))
+
+    @given(pairs=st.one_of(
+        # one pair
+        st.lists(st.tuples(rationals, counts), min_size=1, max_size=1),
+        # one dyadic denominator, as readings of roots at one precision have
+        st.integers(1, 40).flatmap(lambda e: st.lists(
+            st.tuples(st.integers(-10 ** 15, 10 ** 15).map(
+                lambda m: Fraction(2 * m + 1, 1 << e)), counts),
+            min_size=2, max_size=12)),
+        # pairwise coprime denominators
+        st.lists(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.sampled_from(PRIMES),
+                           counts),
+                 min_size=2, max_size=8, unique_by=lambda t: t[1]).map(
+            lambda ts: [(Fraction(n, p), c) for n, p, c in ts]),
+        # anything
+        st.lists(st.tuples(rationals, counts), min_size=2, max_size=12),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_of_multiples_is_the_fraction_sum(self, pairs):
+        value = _sum_of_multiples(pairs)
+        assert type(value) is Fraction
+        assert value == sum(c * q for q, c in pairs)
 
 
 class TestProductOf:
@@ -602,3 +629,31 @@ class TestRepr:
     def test_exact_and_lazy(self):
         assert repr(from_rational(Fraction(1, 2))) == "Real(1/2)"
         assert repr(SQRT2) == "Real(<procedure>)"
+
+
+class TestPositiveIntegerArguments:
+    """Every precision, budget, tolerance and index argument is an int >= 1:
+    bool, zero and floats are refused alike."""
+
+    ENTRY_POINTS = {
+        "approx": lambda n: SQRT2.approx(n),
+        "separate": lambda n: separate(ONE, ZERO, n),
+        "find_apartness": lambda n: find_apartness(SQRT2, n),
+        "lt_witness": lambda n: lt_witness(ONE, SQRT2, n),
+        "finite_set_oracle": lambda n: finite_set_oracle([ONE], n),
+        "from_sequence": lambda n: from_sequence(lambda m: ONE.approx(1),
+                                                 lambda k: n).approx(1),
+        "grid": lambda n: RationalDomain(0, 1).grid(n),
+        "uc_modulus": lambda n: UCFunction(RationalDomain(0, 1), lambda q: q,
+                                           lambda k: n).modulus(1),
+        "eps_minimizer": lambda n: eps_minimizer(
+            UCFunction(RationalDomain(0, 1), lambda q: q, lambda k: k), n),
+        "close_to_witness": lambda n: close_to_witness(
+            RationalDomain(0, 2), SQRT2).select(n),
+    }
+
+    @pytest.mark.parametrize("value", [True, 0, 1.0])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_refused(self, entry, value):
+        with pytest.raises(ValueError):
+            self.ENTRY_POINTS[entry](value)
